@@ -385,15 +385,21 @@ def bootstrap_monitor(traj, mode: str, params: dict, constants: ProofConstants):
             violated = "partition count"
         doubling = None
         if violated is None and n_full >= 2:
-            cuts = [float(np.interp(k * quantum, cum_s15[: m + 1], times[: m + 1])) for k in range(n_full + 1)]
+            cuts = np.interp(np.arange(n_full + 1) * quantum, cum_s15[: m + 1], times[: m + 1])
+            # frames inside [a - 1e-12, b + 1e-12] of each interval, and its two integrals
+            lo = np.searchsorted(times, cuts[:-1] - 1e-12, "left").tolist()
+            hi = np.searchsorted(times, cuts[1:] + 1e-12, "right").tolist()
+            c15 = np.interp(cuts, times, cum_s15)
+            cg = np.interp(cuts, times, cum_g[S_CRITICAL])
+            int15 = (c15[1:] - c15[:-1]).tolist()
+            intg = (cg[1:] - cg[:-1]).tolist()
             prev = None
-            for a, b in zip(cuts, cuts[1:]):
-                sel = (times >= a - 1e-12) & (times <= b + 1e-12)
-                if sel.sum() < 1:
+            for j in range(n_full):
+                if hi[j] <= lo[j]:
                     continue
-                s_j = float(d["H_sc"][sel].max())
-                s_j += fn.series_integral_between(times, cum_s15, a, b) ** (1.0 / 15.0)
-                s_j += fn.series_integral_between(times, cum_g[S_CRITICAL], a, b) ** 0.3
+                s_j = float(d["H_sc"][lo[j]:hi[j]].max())
+                s_j += int15[j] ** (1.0 / 15.0)
+                s_j += intg[j] ** 0.3
                 if prev is not None:
                     ratio = s_j / max(prev, 1e-300)
                     doubling = max(doubling or 0.0, ratio)

@@ -102,6 +102,7 @@ def run_simulation(cfg: RunConfig, out_dir: Path, resume: bool = False) -> tuple
         csv_f.flush()
         ckpt.write_field(out_dir / "checkpoint.snls", field)
 
+    telemetry = None  # stays None when the run was already complete and nothing is stepped
     try:
         if t_start >= t_b - 1e-12 * max(1.0, abs(t_b)):
             grid2, times, frames = ckpt.read_trajectory_frames(frames_path)
@@ -113,6 +114,7 @@ def run_simulation(cfg: RunConfig, out_dir: Path, resume: bool = False) -> tuple
                 on_frame=on_frame,
                 snap_anchor=t_a,
             )
+            telemetry = traj.provenance["telemetry"]
             if append:
                 grid2, times, frames = ckpt.read_trajectory_frames(frames_path)
                 traj = rebuild_trajectory(grid2, times, frames, ctl,
@@ -126,6 +128,7 @@ def run_simulation(cfg: RunConfig, out_dir: Path, resume: bool = False) -> tuple
         "boundary_breach": traj.boundary_breach,
         "wall_time_s": time.monotonic() - wall_start,
         "n_frames": int(traj.times.size),
+        "telemetry": telemetry,  # this invocation only: a resume counts its own steps
     })
     ckpt.write_manifest(manifest_path, manifest)
     if traj.status != "ok":

@@ -68,9 +68,11 @@ class RunConfig:
     out_dir: str = "runs/default"
 
     def validate(self) -> "RunConfig":
-        _require(isinstance(self.n, int) and self.n >= 8 and (self.n & (self.n - 1)) == 0,
-                 "grid.n", f"must be a power of two >= 8, got {self.n}")
-        _require(self.r_max > 0, "grid.r_max", "must be positive")
+        _require(self.r_max > 0 and np.isfinite(self.r_max), "grid.r_max", "must be positive and finite")
+        try:
+            self.grid()  # with r_max checked, the grid's rule on n is what can fail
+        except ValueError as exc:
+            raise ConfigError(f"grid.n: {exc}") from exc
         for name in ("dt_max", "snapshot_stride"):
             _require(getattr(self, name) > 0, f"controller.{name}", "must be positive")
         _require(0 < self.theta <= 1, "controller.theta", "must lie in (0, 1]")

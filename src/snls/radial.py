@@ -46,6 +46,17 @@ __all__ = [
 S_MAX = 4.0  # validity range of the fractional multiplier rho^s
 
 
+def _fast_size(n: int) -> bool:
+    """Power of two, or n+1 a product of 2, 3 and 5 (the DST-I runs an FFT of length 2(n+1))."""
+    if n & (n - 1) == 0:
+        return True
+    m = n + 1
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
 @dataclass(frozen=True)
 class RadialGrid:
     """Uniform radial grid with Dirichlet endpoints at r = 0 and r = r_max."""
@@ -54,8 +65,11 @@ class RadialGrid:
     n: int
 
     def __post_init__(self):
-        if self.n < 8 or (self.n & (self.n - 1)) != 0:
-            raise ValueError(f"n must be a power of two >= 8, got {self.n}")
+        if not isinstance(self.n, (int, np.integer)) or self.n < 8 or not _fast_size(self.n):
+            raise ValueError(
+                f"n must be an integer >= 8 that is a power of two or has n+1 {{2,3,5}}-smooth "
+                f"(n = 2^k - 1 is fastest), got {self.n}"
+            )
         if not (self.r_max > 0 and np.isfinite(self.r_max)):
             raise ValueError(f"r_max must be positive and finite, got {self.r_max}")
 
@@ -127,12 +141,21 @@ class SpectralField:
         return g.dr * np.sqrt((g.n + 1) / 2.0) * self.coeffs
 
 
+def _dst1(x: np.ndarray) -> np.ndarray:
+    """Orthonormal DST-I of a raw real or complex array; it is its own inverse.
+
+    Every sine transform in the package goes through here, so the
+    normalization above is fixed in this one place.
+    """
+    return sfft.dst(x, type=1, norm="ortho")
+
+
 def to_spectral(field: RadialField) -> SpectralField:
     """Sine-transform w = r*u; rejects non-finite samples with the offending index."""
     bad = np.flatnonzero(~np.isfinite(field.values))
     if bad.size:
         raise ValueError(f"non-finite sample at index {bad[0]} (r = {field.grid.nodes[bad[0]]:.6g})")
-    return SpectralField(field.grid, sfft.dst(field.w, type=1, norm="ortho"))
+    return SpectralField(field.grid, _dst1(field.w))
 
 
 def from_spectral(spec: SpectralField) -> RadialField:
@@ -140,7 +163,7 @@ def from_spectral(spec: SpectralField) -> RadialField:
     bad = np.flatnonzero(~np.isfinite(spec.coeffs))
     if bad.size:
         raise ValueError(f"non-finite coefficient at index {bad[0]}")
-    w = sfft.dst(spec.coeffs, type=1, norm="ortho")
+    w = _dst1(spec.coeffs)
     return RadialField(spec.grid, w / spec.grid.nodes)
 
 
@@ -172,10 +195,9 @@ def radial_integral(grid: RadialGrid, samples: np.ndarray) -> float:
     """int_0^rmax g(r) dr from interior samples, implied zero boundary values.
 
     Closed trapezoid; with the implied zeros at both endpoints this is
-    dr * sum(samples).  Composite Simpson would need an even number of
-    subintervals, and the power-of-two grid always yields an odd count,
-    so the trapezoid branch is the one in effect (and makes the discrete
-    Plancherel identity exact).
+    dr * sum(samples).  The grid has n+1 subintervals, odd for n = 2^k and
+    even for n = 2^k - 1; the trapezoid rule is used for every n, because
+    it makes the discrete Plancherel identity exact.
     """
     if samples.shape != (grid.n,):
         raise ValueError("samples must live on the interior nodes")

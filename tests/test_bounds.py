@@ -17,6 +17,8 @@ from snls.bounds import (
     slow_growth_g,
     theorem1_plan,
 )
+from snls import functionals as fn
+from snls.bounds import _component_series
 from snls.evolve import StepController, evolve
 from snls.intervals import ProofConstants
 from snls.radial import RadialField
@@ -243,6 +245,41 @@ class TestBootstrapMonitor:
             CONST,
         )
         assert records[-1]["violated"] == "S(u,T) <= R0"
+
+    def test_doubling_ratios_match_scalar_cut_loop(self, grid_small):
+        # reference: one scalar np.interp per cut and a full boolean mask per interval
+        ctl = StepController(dt_max=0.005, snapshot_stride=0.01)
+        traj = evolve(gaussian_field(grid_small, amplitude=1.0), (0.0, 0.3), ctl)
+        records = bootstrap_monitor(
+            traj, "theorem1", {"log_R0": 50.0, "delta": 0.5, "E0": 10.0, "m_ceiling": 1e9}, CONST,
+        )
+        times, d = traj.times, traj.densities
+        cum_s15 = fn.cumulative_series_integral(times, d["s_density"])
+        grads = _component_series(traj, (7.0 / 6.0,))[7.0 / 6.0]
+        cum_g = fn.cumulative_series_integral(times, grads ** (10.0 / 3.0))
+        quantum = (1.0 / (4.0 * CONST.C_tilde)) ** 2.5
+        assert len(records) == times.size - 1
+        n_cuts = []
+        for m, rec in zip(range(1, times.size), records):
+            n_full = int(float(cum_s15[m]) / quantum)
+            doubling = None
+            if n_full >= 2:
+                cuts = [float(np.interp(k * quantum, cum_s15[: m + 1], times[: m + 1])) for k in range(n_full + 1)]
+                prev = None
+                for a, b in zip(cuts, cuts[1:]):
+                    sel = (times >= a - 1e-12) & (times <= b + 1e-12)
+                    if sel.sum() < 1:
+                        continue
+                    s_j = float(d["H_sc"][sel].max())
+                    s_j += fn.series_integral_between(times, cum_s15, a, b) ** (1.0 / 15.0)
+                    s_j += fn.series_integral_between(times, cum_g, a, b) ** 0.3
+                    if prev is not None:
+                        doubling = max(doubling or 0.0, s_j / max(prev, 1e-300))
+                    prev = s_j
+            n_cuts.append(n_full)
+            assert rec["violated"] is None
+            assert rec["max_doubling_ratio"] == doubling
+        assert max(n_cuts) > 100
 
     def test_missing_cached_norms_rejected(self, grid_small):
         ctl = StepController(dt_max=0.01, snapshot_stride=0.05, cache_sc_plus1=False)

@@ -112,6 +112,17 @@ class TestSimulate:
         assert (tmp_path / "cut/densities.csv").read_bytes() == (tmp_path / "full/densities.csv").read_bytes()
         assert (tmp_path / "cut/frames.snls").read_bytes() == (tmp_path / "full/frames.snls").read_bytes()
 
+    def test_resume_after_short_last_steps(self, tmp_path):
+        # dt_max 0.003 on a 0.01 stride: every segment ends in a short 0.001 step
+        cfg = RunConfig.from_dict({**FAST, "dt_max": 0.003})
+        run_simulation(cfg, tmp_path / "full")
+        run_simulation(cfg, tmp_path / "cut")
+        truncate_trajectory_frames(tmp_path / "cut" / "frames.snls", 6)
+        traj, code = run_simulation(cfg, tmp_path / "cut", resume=True)
+        assert code == EXIT_OK
+        assert (tmp_path / "cut/densities.csv").read_bytes() == (tmp_path / "full/densities.csv").read_bytes()
+        assert (tmp_path / "cut/frames.snls").read_bytes() == (tmp_path / "full/frames.snls").read_bytes()
+
     def test_resume_rejects_config_mismatch(self, tmp_path):
         cfg = RunConfig.from_dict(FAST)
         run_simulation(cfg, tmp_path / "run")

@@ -1,10 +1,13 @@
 """Free flow, split stepping, adaptive evolution, and Duhamel machinery."""
 
+import importlib
+
 import numpy as np
 import pytest
 
 from snls.evolve import (
     StepController,
+    _snapshot_times,
     average_translate,
     duhamel_residual,
     duhamel_tail,
@@ -150,6 +153,67 @@ class TestEvolve:
         assert np.isfinite(s15) and s15 > 0
         h0, h1 = traj.densities["H_sc"][0], traj.densities["H_sc"][-1]
         assert abs(h1 - h0) < 0.05 * h0
+
+
+def strang_reference(u0: RadialField, t_span, ctl: StepController, halve_step=None) -> np.ndarray:
+    """Frames of one strang_step per step under evolve's dt rule: the unfused loop.
+
+    Step number halve_step (0-based) is taken at half its dt, as after one rejection.
+    """
+    t_a, t_b = t_span
+    u, t, frames, k = u0, t_a, [u0.values], 0
+    for t_next in _snapshot_times(t_a, t_b, ctl.snapshot_stride):
+        while t_next - t > 1e-12 * max(1.0, abs(t_next)):
+            dt = min(ctl.dt_max, ctl.theta / max(1e-12, u.sup_abs() ** 6), t_next - t)
+            if k == halve_step:
+                dt /= 2.0
+            u = strang_step(u, dt)
+            t += dt
+            k += 1
+        t = float(t_next)
+        frames.append(u.values)
+    return np.array(frames)
+
+
+class TestFusedStepping:
+    def test_matches_strang_step_loop_on_c01_grid(self, grid_desk):
+        u0 = gaussian_field(grid_desk, amplitude=1.0)
+        ctl = StepController(dt_max=0.0025, snapshot_stride=0.1)
+        traj = evolve(u0, (0.0, 1.0), ctl)
+        ref = strang_reference(u0, (0.0, 1.0), ctl)
+        assert traj.frames.shape == ref.shape
+        rel = np.abs(traj.frames - ref).max(axis=1) / np.abs(ref).max(axis=1)
+        assert rel.max() <= 1e-12
+
+    def test_telemetry_counts_steps(self, grid_small):
+        # each 0.01 segment is three 0.003 steps and a short 0.001 step
+        ctl = StepController(dt_max=0.003, snapshot_stride=0.01)
+        tel = evolve(gaussian_field(grid_small), (0.0, 0.1), ctl).provenance["telemetry"]
+        assert tel["steps"] == 40 and tel["halvings"] == 0
+        assert tel["dt_max"] == 0.003
+        assert tel["dt_min"] == pytest.approx(0.001, rel=1e-9)
+
+    def test_overflow_retries_from_pre_step_state(self, grid_small, monkeypatch):
+        # the fifth transform (forward transform of the third step, with a half-phase
+        # pending) returns NaN once; the step is retried at dt/2 from the same state
+        u0 = gaussian_field(grid_small)
+        ctl = StepController(dt_max=0.0025, snapshot_stride=0.01)
+        evolve_mod = importlib.import_module("snls.evolve")  # the package's `evolve` is the function
+        calls = []
+        real_dst = evolve_mod._dst1
+
+        def flaky(x):
+            calls.append(1)
+            return np.full_like(x, np.nan) if len(calls) == 5 else real_dst(x)
+
+        monkeypatch.setattr(evolve_mod, "_dst1", flaky)
+        traj = evolve(u0, (0.0, 0.05), ctl)
+        tel = traj.provenance["telemetry"]
+        assert traj.status == "ok" and tel["halvings"] == 1
+        assert tel["dt_min"] == pytest.approx(0.00125, rel=1e-9)
+        ref = strang_reference(u0, (0.0, 0.05), ctl, halve_step=2)
+        rel = np.abs(traj.frames - ref).max(axis=1) / np.abs(ref).max(axis=1)
+        assert rel.max() <= 1e-12
 
 
 @pytest.fixture(scope="module")

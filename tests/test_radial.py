@@ -35,6 +35,12 @@ class TestGrid:
         with pytest.raises(ValueError):
             RadialGrid(10.0, n)
 
+    @pytest.mark.parametrize("n", [8, 9, 255, 256, 2047, 4096, 16383, 14999])
+    def test_accepts_power_of_two_or_smooth_n_plus_one(self, n):
+        g = RadialGrid(10.0, n)
+        f = gaussian_field(g)
+        assert np.abs(from_spectral(to_spectral(f)).values - f.values).max() < 1e-13
+
 
 class TestTransforms:
     def test_zero_field_zero_coeffs(self, grid_small):
