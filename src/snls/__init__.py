@@ -21,7 +21,6 @@ from .radial import (
     hardy_ratio,
 )
 from .functionals import (
-    Cutoff,
     NormReport,
     mass,
     energy,
@@ -78,7 +77,7 @@ __all__ = [
     "RadialGrid", "RadialField", "SpectralField",
     "to_spectral", "from_spectral", "fractional_apply",
     "sobolev_norm", "lebesgue_norm", "rescale", "hardy_ratio",
-    "Cutoff", "NormReport", "mass", "energy", "s_density",
+    "NormReport", "mass", "energy", "s_density",
     "localized_mass", "localized_mass_rate", "morawetz_flux", "space_time_norms",
     "StepController", "Trajectory", "free_evolve", "nonlinear_phase",
     "strang_step", "evolve", "linear_trajectory", "duhamel_residual",

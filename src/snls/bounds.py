@@ -16,7 +16,7 @@ import numpy as np
 
 from . import functionals as fn
 from .intervals import ProofConstants
-from .radial import fractional_apply, lebesgue_norm
+from .radial import _FRAME_BLOCK, _fractional_rows, _lp_rows
 
 __all__ = [
     "eta_of",
@@ -104,6 +104,12 @@ class SaturatingValue:
     overflow: bool
 
 
+def _saturating(log_v: float) -> SaturatingValue:
+    """exp(log_v) with its exact log, saturated to inf with the overflow flag."""
+    v, over = _sat_exp(log_v)
+    return SaturatingValue(v, log_v, over)
+
+
 def scattering_bound(E: float, C: float) -> SaturatingValue:
     """C exp(C E^C), with E clamped to the formula's stated domain E >= 1.
 
@@ -116,8 +122,7 @@ def scattering_bound(E: float, C: float) -> SaturatingValue:
         raise ValueError(f"C must be >= 1, got {C}")
     e_eff = max(E, 1.0)
     log_v = math.log(C) + C * e_eff**C
-    v, over = _sat_exp(log_v)
-    return SaturatingValue(v if not over else math.inf, log_v, over)
+    return _saturating(log_v)
 
 
 def scattering_shape_exponents(constants: ProofConstants, E_grid) -> tuple[float, float]:
@@ -196,16 +201,14 @@ def theorem1_plan(M: float, E0: float, delta: float, constants: ProofConstants) 
         log_R0 = math.inf
     else:
         log_R0 = math.log(4.0 * Cp) + m_for_R0 * math.log(2.0 * Ct) + math.log(M)
-    R0 = SaturatingValue(*_sat_exp(log_R0), False) if math.isfinite(log_R0) else SaturatingValue(math.inf, math.inf, True)
-    R0 = SaturatingValue(R0.value, log_R0, not math.isfinite(R0.value))
+    R0 = _saturating(log_R0)
 
     log_2R0 = math.log(2.0) + log_R0
     delta0 = math.log(2.0) / (C * log_2R0) if math.isfinite(log_2R0) else 0.0
 
     log_EM = C * (math.log(E0) + delta * math.log(M))
     bound_log = math.log(C) + C * math.exp(min(log_EM, LOG_MAX))
-    bound = SaturatingValue(*_sat_exp(min(bound_log, LOG_MAX + 1)), False)
-    bound = SaturatingValue(bound.value, bound_log, not math.isfinite(bound.value))
+    bound = _saturating(bound_log)
 
     interp_log = (1.0 - delta) * math.log(E0) + delta * log_2R0
 
@@ -284,8 +287,7 @@ def m0_solve(u0_norm: float, constants: ProofConstants, rel_tol: float = 1e-6) -
     log_u0 = math.log(u0_norm)
     x_floor = max(math.log(2.0 * u0_norm), math.log(0.5) + 1e-9)
     if _m0_gap(x_floor, log_u0, constants) <= 0.0:
-        v, over = _sat_exp(x_floor)
-        return M0Result(SaturatingValue(v, x_floor, over), _m0_gap(x_floor, log_u0, constants), True)
+        return M0Result(_saturating(x_floor), _m0_gap(x_floor, log_u0, constants), True)
     lo = x_floor
     hi = max(x_floor, 1.0)
     for _ in range(400):
@@ -300,17 +302,16 @@ def m0_solve(u0_norm: float, constants: ProofConstants, rel_tol: float = 1e-6) -
             hi = mid
         else:
             lo = mid
-    v, over = _sat_exp(hi)
-    return M0Result(SaturatingValue(v, hi, over), _m0_gap(hi, log_u0, constants), False)
+    return M0Result(_saturating(hi), _m0_gap(hi, log_u0, constants), False)
 
 
 def _component_series(traj, orders):
     """Per-frame L^(10/3)_x norms of |nabla|^s u for the requested s values."""
     out = {s: np.empty(traj.times.size) for s in orders}
-    for m in range(traj.times.size):
-        u = traj.field(m)
+    for lo in range(0, traj.times.size, _FRAME_BLOCK):
+        u = traj.frames[lo:lo + _FRAME_BLOCK]
         for s in orders:
-            out[s][m] = lebesgue_norm(fractional_apply(u, s), 10.0 / 3.0)
+            out[s][lo:lo + len(u)] = _lp_rows(_fractional_rows(u, traj.grid, s), traj.grid, 10.0 / 3.0)
     return out
 
 
@@ -329,9 +330,7 @@ def bootstrap_monitor(traj, mode: str, params: dict, constants: ProofConstants):
     d = traj.densities
     if mode == "theorem1":
         if np.isnan(d["H_sc_plus1"]).any():
-            raise ValueError(
-                "trajectory lacks cached H_sc_plus1 norms; re-run evolve with cache_sc_plus1=True"
-            )
+            raise ValueError("trajectory has non-finite cached H_sc_plus1 norms")
         grad_orders = (S_CRITICAL, S_CRITICAL + 1.0)
     else:
         grad_orders = (S_CRITICAL,)

@@ -1,10 +1,10 @@
 """Binary checkpoints, CSV exports, and atomic manifest persistence.
 
 Field checkpoint layout (little-endian):
-    magic "SNLS" | version u32 | n u64 | r_max f64 | n complex pairs (f64, f64)
+    magic "SNLS" | version u32 | n u64 | r_max f64 | n complex128 ('<c16', i.e. re f64, im f64)
 
 A trajectory file reuses the same header followed by frame records, each
-    t f64 | n complex pairs (f64, f64)
+    t f64 | n complex128; one record is the numpy dtype [('t', '<f8'), ('u', '<c16', (n,))]
 
 Writers are crash-safe: whole-file writes go through a temp file plus
 rename; the frame log is append-only and the reader drops a truncated
@@ -25,7 +25,6 @@ from .radial import RadialField, RadialGrid
 __all__ = [
     "write_field",
     "read_field",
-    "field_to_csv",
     "TrajectoryFrameWriter",
     "read_trajectory_frames",
     "write_manifest",
@@ -55,6 +54,8 @@ def _header_bytes(grid: RadialGrid) -> bytes:
 
 
 def _parse_header(buf: bytes) -> RadialGrid:
+    if len(buf) < _HEADER.size:
+        raise ValueError(f"truncated header: {len(buf)} < {_HEADER.size} bytes")
     magic, version, n, r_max = _HEADER.unpack_from(buf, 0)
     if magic != MAGIC:
         raise ValueError(f"bad magic {magic!r}; not a field checkpoint")
@@ -63,20 +64,13 @@ def _parse_header(buf: bytes) -> RadialGrid:
     return RadialGrid(r_max=r_max, n=int(n))
 
 
-def _pairs_bytes(values: np.ndarray) -> bytes:
-    flat = np.empty(2 * values.size)
-    flat[0::2] = values.real
-    flat[1::2] = values.imag
-    return flat.astype("<f8").tobytes()
-
-
-def _pairs_from(buf: bytes, n: int) -> np.ndarray:
-    flat = np.frombuffer(buf, dtype="<f8", count=2 * n)
-    return (flat[0::2] + 1j * flat[1::2]).astype(np.complex128)
+def _record_dtype(n: int) -> np.dtype:
+    """One frame-log record: time, then the n complex samples."""
+    return np.dtype([("t", "<f8"), ("u", "<c16", (n,))])
 
 
 def write_field(path, field: RadialField) -> None:
-    _atomic_write_bytes(path, _header_bytes(field.grid) + _pairs_bytes(field.values))
+    _atomic_write_bytes(path, _header_bytes(field.grid) + field.values.astype("<c16").tobytes())
 
 
 def read_field(path) -> RadialField:
@@ -85,14 +79,7 @@ def read_field(path) -> RadialField:
     expected = _HEADER.size + 16 * grid.n
     if len(buf) < expected:
         raise ValueError(f"truncated field checkpoint: {len(buf)} < {expected} bytes")
-    return RadialField(grid, _pairs_from(buf[_HEADER.size:], grid.n))
-
-
-def field_to_csv(path, field: RadialField) -> None:
-    lines = ["r,re_u,im_u"]
-    for r, u in zip(field.grid.nodes, field.values):
-        lines.append(f"{r!r},{u.real!r},{u.imag!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    return RadialField(grid, np.frombuffer(buf, dtype="<c16", count=grid.n, offset=_HEADER.size))
 
 
 class TrajectoryFrameWriter:
@@ -100,6 +87,7 @@ class TrajectoryFrameWriter:
 
     def __init__(self, path, grid: RadialGrid, append: bool = False):
         self.grid = grid
+        self._record = np.zeros((), dtype=_record_dtype(grid.n))
         mode = "ab" if append and Path(path).exists() else "wb"
         self._f = open(path, mode)
         if mode == "wb":
@@ -107,8 +95,9 @@ class TrajectoryFrameWriter:
             self._flush()
 
     def append(self, t: float, values: np.ndarray) -> None:
-        self._f.write(struct.pack("<d", t))
-        self._f.write(_pairs_bytes(values))
+        self._record["t"] = t
+        self._record["u"] = values
+        self._f.write(self._record.tobytes())
         self._flush()
 
     def _flush(self):
@@ -129,24 +118,17 @@ def read_trajectory_frames(path):
     """Return (grid, times, frames); a truncated final record is dropped."""
     buf = Path(path).read_bytes()
     grid = _parse_header(buf)
-    rec = 8 + 16 * grid.n
-    body = buf[_HEADER.size:]
-    n_frames = len(body) // rec
-    times = np.empty(n_frames)
-    frames = np.empty((n_frames, grid.n), dtype=np.complex128)
-    for m in range(n_frames):
-        off = m * rec
-        times[m] = struct.unpack_from("<d", body, off)[0]
-        frames[m] = _pairs_from(body[off + 8 : off + rec], grid.n)
-    return grid, times, frames
+    dtype = _record_dtype(grid.n)
+    count = (len(buf) - _HEADER.size) // dtype.itemsize
+    log = np.frombuffer(buf, dtype=dtype, count=count, offset=_HEADER.size)
+    return grid, log["t"].astype(float), log["u"].astype(np.complex128)
 
 
 def truncate_trajectory_frames(path, n_frames: int) -> None:
     """Drop all records past the first n_frames (resume housekeeping)."""
     grid = _parse_header(Path(path).read_bytes()[:_HEADER.size])
-    rec = 8 + 16 * grid.n
     with open(path, "r+b") as f:
-        f.truncate(_HEADER.size + n_frames * rec)
+        f.truncate(_HEADER.size + n_frames * _record_dtype(grid.n).itemsize)
 
 
 def write_manifest(path, obj: dict) -> None:

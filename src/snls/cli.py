@@ -171,18 +171,17 @@ def diagnose_trajectory(traj: Trajectory, constants: iv.ProofConstants,
 
     certs = iv.concentration_scan(traj, decomp, constants)
     lm = decomp.linear_masses
-    strich = []
-    for m_idx in (traj.frame_index(decomp.span[0]), traj.frame_index(decomp.span[1])):
-        tot_lin = float(np.trapezoid(iv.linear_density_series(traj, m_idx), traj.times))
-        hsc = float(traj.densities["H_sc"][m_idx])
-        strich.append(tot_lin ** (1.0 / 15.0) / max(hsc, 1e-300))
+    strich = []  # each anchor's free-flow L^15 mass over the whole span, from classify's series
+    for t_anchor, tot_lin in zip(decomp.span, np.sum(lm, axis=0)):
+        hsc = float(traj.densities["H_sc"][traj.frame_index(t_anchor)])
+        strich.append(float(tot_lin) ** (1.0 / 15.0) / max(hsc, 1e-300))
 
     selection = audit = None
     if G:
         sel = iv.recursive_select(decomp, constants)
         iv.check_selection_invariants(decomp, sel)
         selection = sel.to_json()
-        audit = iv.mass_bracketing_audit(traj, decomp, sel, constants, E).to_json()
+        audit = iv.mass_bracketing_audit(traj, decomp, sel, constants).to_json()
 
     return {
         "constants": constants.to_dict(),
@@ -249,7 +248,7 @@ def _cmd_select(args) -> int:
     constants = _load_constants(args)
     sel = iv.recursive_select(decomp, constants, removal_span=args.removal_span)
     iv.check_selection_invariants(decomp, sel)
-    payload = iv.selection_to_json_str(sel)
+    payload = json.dumps(sel.to_json(), indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(payload + "\n")
     print(payload)

@@ -14,7 +14,10 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import functionals as fn
-from .radial import RadialField, RadialGrid, SpectralField, _dst1, from_spectral, to_spectral
+from .radial import (
+    _FRAME_BLOCK, RadialField, RadialGrid, SpectralField, _dst1, _lp_rows, _sobolev2_rows,
+    from_spectral, to_spectral,
+)
 
 __all__ = [
     "StepController",
@@ -46,7 +49,6 @@ class StepController:
     boundary_mass_tol: float = 1e-6
     blowup_ceiling: float = 1e6
     sobolev_delta: float = 0.1
-    cache_sc_plus1: bool = True
 
     def __post_init__(self):
         if not (0 < self.theta <= 1):
@@ -62,7 +64,7 @@ class Trajectory:
     """Time-stamped frames plus cached per-frame scalar densities.
 
     densities keys: mass, energy, s_density (||u||_L15^15), H_sc_minus,
-    H_sc, H_sc_plus1 (empty when not cached), boundary_mass, sup_abs.
+    H_sc, H_sc_plus1, boundary_mass, sup_abs.
     Immutable after a run; safe to share read-only across workers.
     """
 
@@ -103,13 +105,27 @@ class Trajectory:
         return float(self.times[0]), float(self.times[-1])
 
 
+def _propagator(grid: RadialGrid, dt) -> np.ndarray:
+    """exp(-i rho_k^2 dt): one row per entry of an array dt, a single row for a scalar."""
+    return np.exp(-1j * grid.frequencies**2 * np.asarray(dt, dtype=float)[..., None])
+
+
+def _free_flow_blocks(coeffs: np.ndarray, grid: RadialGrid, dts: np.ndarray):
+    """Yield (lo, samples of e^{i dt L} w for dt in dts[lo:lo+k]), k <= _FRAME_BLOCK.
+
+    coeffs are the sine coefficients of w, transformed once by the caller;
+    each block then costs one inverse transform.
+    """
+    for lo in range(0, dts.size, _FRAME_BLOCK):
+        yield lo, _dst1(coeffs * _propagator(grid, dts[lo:lo + _FRAME_BLOCK])) / grid.nodes
+
+
 def free_evolve(field: RadialField, t: float) -> RadialField:
     """e^{it Laplacian}: multiply sine coefficients by exp(-i rho_k^2 t)."""
     if t == 0.0:
         return field
     spec = to_spectral(field)
-    phase = np.exp(-1j * field.grid.frequencies**2 * t)
-    return from_spectral(SpectralField(field.grid, spec.coeffs * phase))
+    return from_spectral(SpectralField(field.grid, spec.coeffs * _propagator(field.grid, t)))
 
 
 def nonlinear_phase(field: RadialField, dt: float) -> RadialField:
@@ -135,28 +151,46 @@ def strang_step(field: RadialField, dt: float) -> RadialField:
 _DENSITY_KEYS = ("mass", "energy", "s_density", "H_sc_minus", "H_sc", "H_sc_plus1", "boundary_mass", "sup_abs")
 
 
-def _frame_stats(field: RadialField, ctl: StepController) -> dict:
-    g = field.grid
-    c2 = np.abs(to_spectral(field).coeffs) ** 2
-    rho = g.frequencies
-    scale = 4.0 * np.pi * g.dr
+def _stack(parts: list) -> dict:
+    """Join per-block density dicts into one array per key."""
+    return {k: np.concatenate([p[k] for p in parts]) for k in _DENSITY_KEYS}
 
-    def sob(s):
-        return float(np.sqrt(scale * (rho ** (2.0 * s) * c2).sum()))
 
-    m = float(scale * c2.sum())
-    grad2 = scale * (rho**2 * c2).sum()
-    pot = fn.lebesgue_norm(field, 8.0) ** 8
-    return {
-        "mass": m,
-        "energy": float(0.5 * grad2 + 0.125 * pot),
-        "s_density": fn.s_density(field),
-        "H_sc_minus": sob(S_CRITICAL - ctl.sobolev_delta),
-        "H_sc": sob(S_CRITICAL),
-        "H_sc_plus1": sob(S_CRITICAL + 1.0) if ctl.cache_sc_plus1 else np.nan,
-        "boundary_mass": fn.boundary_mass(field),
-        "sup_abs": field.sup_abs(),
-    }
+def _frame_stats(frames: np.ndarray, grid: RadialGrid, ctl: StepController) -> dict:
+    """Densities of every row of a raw (k, n) array of frames, one length-k array per key.
+
+    The one formula for each cached density.  Rows go through in blocks of
+    at most _FRAME_BLOCK, each block with one sine transform for all five
+    spectral norms.
+    """
+    r = grid.nodes
+    outer = r > 0.9 * grid.r_max  # boundary shell watched for domain truncation
+    orders = (0.0, 1.0, S_CRITICAL - ctl.sobolev_delta, S_CRITICAL, S_CRITICAL + 1.0)
+    parts = []
+    for lo in range(0, len(frames), _FRAME_BLOCK):
+        u = frames[lo:lo + _FRAME_BLOCK]
+        m, grad2, h_minus, h_sc, h_plus = _sobolev2_rows(u, grid, orders)
+        shell = np.where(outer, np.abs(u * r) ** 2, 0.0)
+        parts.append({
+            "mass": m,
+            "energy": 0.5 * grad2 + 0.125 * _lp_rows(u, grid, 8.0) ** 8,
+            "s_density": fn._s_density_rows(u, grid),
+            "H_sc_minus": np.sqrt(h_minus),
+            "H_sc": np.sqrt(h_sc),
+            "H_sc_plus1": np.sqrt(h_plus),
+            "boundary_mass": 4.0 * np.pi * (grid.dr * shell.sum(axis=-1)),
+            "sup_abs": _lp_rows(u, grid, np.inf),
+        })
+    return _stack(parts)
+
+
+def _trajectory(grid, times, frames, densities: dict, ctl: StepController, provenance: dict,
+                status: str = "ok") -> Trajectory:
+    """Trajectory whose breach flag marks a frame with boundary mass above tol * initial mass."""
+    mass0 = densities["mass"][0] if len(times) else 0.0
+    breach = bool(mass0 > 0 and (densities["boundary_mass"] > ctl.boundary_mass_tol * mass0).any())
+    return Trajectory(grid, np.asarray(times, dtype=float), np.asarray(frames, dtype=np.complex128),
+                      densities, provenance=provenance, status=status, boundary_breach=breach)
 
 
 def _snapshot_times(t_a: float, t_b: float, stride: float, anchor: float | None = None) -> np.ndarray:
@@ -230,21 +264,21 @@ def evolve(
     g = u0.grid
     snap_times = _snapshot_times(t_a, t_b, ctl.snapshot_stride, snap_anchor)
     r = g.nodes
-    rho2 = g.frequencies**2
 
-    @functools.lru_cache(maxsize=_PROPAGATOR_TABLE)
-    def propagator(dt: float) -> np.ndarray:
-        return np.exp(-1j * rho2 * dt)
+    propagator = functools.lru_cache(maxsize=_PROPAGATOR_TABLE)(functools.partial(_propagator, g))
 
-    times = [t_a]
-    frames = [u0.values.copy()]
-    stats = [_frame_stats(u0, ctl)]
-    mass0 = stats[0]["mass"]
-    if on_frame is not None:
-        on_frame(t_a, u0, stats[0])
+    times, frames, stats = [], [], []
 
+    def store(t: float, field: RadialField) -> None:
+        st = _frame_stats(field.values[None], g, ctl)
+        times.append(t)
+        frames.append(field.values)
+        stats.append(st)
+        if on_frame is not None:
+            on_frame(t, field, {k: x[0] for k, x in st.items()})
+
+    store(t_a, u0)
     status = "ok"
-    breach = False
     steps = halvings = 0
     dt_lo, dt_hi = math.inf, 0.0
     u, t = u0.values, t_a
@@ -260,8 +294,12 @@ def evolve(
             if sup > ctl.blowup_ceiling:
                 status = "blowup_abort"
                 break
-            dt_raw = min(ctl.dt_max, ctl.theta / max(1e-12, sup**6))
+            with np.errstate(over="ignore"):  # sup^6 overflows to inf, and dt_raw to 0
+                dt_raw = min(ctl.dt_max, ctl.theta / max(1e-12, float(np.float64(sup) ** 6)))
             dt = min(dt_raw, rem)
+            if not t + dt > t:  # a zero, NaN or unresolvable step would never reach t_next
+                status = "dt_underflow"
+                break
             while True:
                 w = _rotate(v, q, pending + 0.5 * dt)
                 w *= r
@@ -290,16 +328,8 @@ def evolve(
         t = t_next
         field = RadialField(g, _rotate(v, q, pending) if pending else v)
         u = field.values
-        st = _frame_stats(field, ctl)
-        if mass0 > 0 and st["boundary_mass"] > ctl.boundary_mass_tol * mass0:
-            breach = True
-        times.append(t)
-        frames.append(u)
-        stats.append(st)
-        if on_frame is not None:
-            on_frame(t, field, st)
+        store(t, field)
 
-    densities = {k: np.array([s[k] for s in stats]) for k in _DENSITY_KEYS}
     prov = dict(provenance or {})
     prov.setdefault("controller", {
         "dt_max": ctl.dt_max, "theta": ctl.theta, "snapshot_stride": ctl.snapshot_stride,
@@ -312,15 +342,7 @@ def evolve(
         "dt_min": dt_lo if steps else None,
         "dt_max": dt_hi if steps else None,
     }
-    return Trajectory(
-        grid=g,
-        times=np.array(times),
-        frames=np.array(frames),
-        densities=densities,
-        provenance=prov,
-        status=status,
-        boundary_breach=breach,
-    )
+    return _trajectory(g, times, np.array(frames), _stack(stats), ctl, prov, status)
 
 
 def _nonlinear_term(values: np.ndarray) -> np.ndarray:
@@ -330,16 +352,16 @@ def _nonlinear_term(values: np.ndarray) -> np.ndarray:
 def _windowed_duhamel_coeffs(traj: Trajectory, sel: np.ndarray, t: float) -> np.ndarray:
     """Sine coefficients of int over the selected frames of e^{i(t-t')L} |u|^6 u dt'."""
     g = traj.grid
-    rho2 = g.frequencies**2
     times = traj.times[sel]
     wts = np.zeros(sel.size)
     dt = np.diff(times)
     wts[:-1] += 0.5 * dt
     wts[1:] += 0.5 * dt
     acc = np.zeros(g.n, dtype=np.complex128)
-    for wt, m, tm in zip(wts, sel, times):
-        f = RadialField(g, _nonlinear_term(traj.frames[m]))
-        acc += wt * to_spectral(f).coeffs * np.exp(-1j * rho2 * (t - tm))
+    for lo in range(0, sel.size, _FRAME_BLOCK):
+        blk = slice(lo, lo + _FRAME_BLOCK)
+        c = _dst1(_nonlinear_term(traj.frames[sel[blk]]) * g.nodes) * _propagator(g, t - times[blk])
+        acc += (wts[blk, None] * c).sum(axis=0)
     return acc
 
 
@@ -360,7 +382,7 @@ def duhamel_residual(traj: Trajectory, t: float, t_base: float | None = None,
     if m_t - m_0 < 8:
         raise ValueError("need at least 8 frames before t for the Duhamel quadrature")
     g = traj.grid
-    lin = to_spectral(traj.field(m_0)).coeffs * np.exp(-1j * g.frequencies**2 * (t - traj.times[m_0]))
+    lin = to_spectral(traj.field(m_0)).coeffs * _propagator(g, t - traj.times[m_0])
     rhs = lin
     if include_nonlinearity:
         sel = np.arange(m_0, m_t + 1)
@@ -428,12 +450,8 @@ def rebuild_trajectory(
     status: str = "ok",
 ) -> Trajectory:
     """Reconstruct a Trajectory (densities recomputed) from stored frames."""
-    stats = [_frame_stats(RadialField(grid, frames[m]), ctl) for m in range(len(times))]
-    densities = {k: np.array([s[k] for s in stats]) for k in _DENSITY_KEYS}
-    mass0 = densities["mass"][0] if len(times) else 0.0
-    breach = bool(mass0 > 0 and (densities["boundary_mass"] > ctl.boundary_mass_tol * mass0).any())
-    return Trajectory(grid, np.asarray(times, dtype=float), np.asarray(frames, dtype=np.complex128),
-                      densities, provenance=dict(provenance or {}), status=status, boundary_breach=breach)
+    frames = np.asarray(frames, dtype=np.complex128)
+    return _trajectory(grid, times, frames, _frame_stats(frames, grid, ctl), ctl, dict(provenance or {}), status)
 
 
 def linear_trajectory(u0: RadialField, t_span, ctl: StepController) -> Trajectory:
@@ -442,12 +460,7 @@ def linear_trajectory(u0: RadialField, t_span, ctl: StepController) -> Trajector
     if not t_a < t_b:
         raise ValueError(f"need t_a < t_b, got {t_span}")
     snap = np.concatenate(([t_a], _snapshot_times(t_a, t_b, ctl.snapshot_stride)))
-    c0 = to_spectral(u0).coeffs
-    rho2 = u0.grid.frequencies**2
-    frames, stats = [], []
-    for t in snap:
-        f = from_spectral(SpectralField(u0.grid, c0 * np.exp(-1j * rho2 * (t - t_a))))
-        frames.append(f.values)
-        stats.append(_frame_stats(f, ctl))
-    densities = {k: np.array([s[k] for s in stats]) for k in _DENSITY_KEYS}
-    return Trajectory(u0.grid, snap, np.array(frames), densities, provenance={"linear": True})
+    frames = np.empty((snap.size, u0.grid.n), dtype=np.complex128)
+    for lo, u in _free_flow_blocks(to_spectral(u0).coeffs, u0.grid, snap - t_a):
+        frames[lo:lo + len(u)] = u
+    return _trajectory(u0.grid, snap, frames, _frame_stats(frames, u0.grid, ctl), ctl, {"linear": True})

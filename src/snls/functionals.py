@@ -11,10 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .radial import RadialField, fractional_apply, lebesgue_norm, radial_integral, sobolev_norm
+from .radial import (
+    _FRAME_BLOCK, RadialField, _fractional_rows, _lp_rows, lebesgue_norm, radial_integral, sobolev_norm,
+)
 
 __all__ = [
-    "Cutoff",
     "NormReport",
     "mass",
     "energy",
@@ -40,20 +41,6 @@ def cutoff_profile(s: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class Cutoff:
-    """The bump chi(x/R): identically 1 inside R/2, supported in |x| < R."""
-
-    R: float
-
-    def __post_init__(self):
-        if not (self.R > 0):
-            raise ValueError(f"cutoff scale must be positive, got {self.R}")
-
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        return cutoff_profile(np.asarray(r, dtype=float) / self.R)
-
-
 def mass(field: RadialField) -> float:
     """M[u] = int |u|^2 dx."""
     return float(4.0 * np.pi * radial_integral(field.grid, np.abs(field.w) ** 2))
@@ -66,33 +53,23 @@ def energy(field: RadialField) -> float:
     return float(0.5 * grad2 + 0.125 * pot)
 
 
+def _s_density_rows(u: np.ndarray, grid) -> np.ndarray:
+    """||u||_{L^15_x}^15 of every row of a raw (..., n) block of samples."""
+    return _lp_rows(u, grid, 15.0) ** 15
+
+
 def s_density(field: RadialField) -> float:
     """||u||_{L^15_x}^15, the space-time partition integrand at one time."""
-    return float(lebesgue_norm(field, 15.0) ** 15)
+    return float(_s_density_rows(field.values, field.grid))
 
 
 def localized_mass(field: RadialField, R: float) -> float:
     """M(u; 0, R) = (int |chi(x/R) u|^2 dx)^(1/2), centered cutoff of scale R."""
     if not (0 < R <= field.grid.r_max):
         raise ValueError(f"R must lie in (0, r_max], got {R}")
-    chi = Cutoff(R)(field.grid.nodes)
+    chi = cutoff_profile(field.grid.nodes / R)
     val = 4.0 * np.pi * radial_integral(field.grid, (chi * np.abs(field.w)) ** 2)
     return float(np.sqrt(val))
-
-
-def boundary_mass(field: RadialField, inner_fraction: float = 0.9) -> float:
-    """L2 mass carried beyond inner_fraction * r_max (domain-truncation monitor)."""
-    g = field.grid
-    w2 = np.abs(field.w) ** 2
-    w2 = np.where(g.nodes > inner_fraction * g.r_max, w2, 0.0)
-    return float(4.0 * np.pi * radial_integral(g, w2))
-
-
-def _frame_index(traj, t: float) -> int:
-    m = int(np.argmin(np.abs(traj.times - t)))
-    if abs(traj.times[m] - t) > 1e-9 * max(1.0, abs(t)):
-        raise ValueError(f"t = {t} is not a stored frame time")
-    return m
 
 
 def localized_mass_rate(traj, t: float, R: float) -> float:
@@ -101,7 +78,7 @@ def localized_mass_rate(traj, t: float, R: float) -> float:
     Centered difference at interior frames; one-sided at the trajectory
     endpoints (wider truncation error, flagged by the caller's tolerance).
     """
-    m = _frame_index(traj, t)
+    m = traj.frame_index(t)
     times = traj.times
     if len(times) < 2:
         raise ValueError("need at least two frames")
@@ -112,17 +89,16 @@ def localized_mass_rate(traj, t: float, R: float) -> float:
     return float((b - a) / (times[hi] - times[lo]))
 
 
-def _frames_in(traj, t_a: float, t_b: float) -> np.ndarray:
-    sel = np.flatnonzero((traj.times >= t_a - 1e-12) & (traj.times <= t_b + 1e-12))
-    return sel
+def _frames_in(times: np.ndarray, t_a: float, t_b: float) -> np.ndarray:
+    """Indices of the frame times inside [t_a, t_b], with a 1e-12 tolerance at both ends."""
+    return np.flatnonzero((times >= t_a - 1e-12) & (times <= t_b + 1e-12))
 
 
 def morawetz_flux(traj, interval, R_cut: float) -> float:
     """int_I int_{|x|<R_cut} |u|^8 / |x| dx dt, time-trapezoid over frames."""
     if not (0 < R_cut <= traj.grid.r_max):
         raise ValueError(f"R_cut must lie in (0, r_max], got {R_cut}")
-    t_a, t_b = interval
-    sel = _frames_in(traj, t_a, t_b)
+    sel = _frames_in(traj.times, *interval)
     if sel.size < 2:
         raise ValueError("interval must contain at least two frames")
     r = traj.grid.nodes
@@ -142,7 +118,7 @@ class NormReport:
     S: float
     W: float
     N: float
-    linf_sobolev: dict
+    sup_Hsc: float
     mass: float
     energy: float
 
@@ -153,7 +129,7 @@ class NormReport:
             "S": self.S,
             "W": self.W,
             "N": self.N,
-            "sup_Hsc": self.linf_sobolev.get(S_CRITICAL),
+            "sup_Hsc": self.sup_Hsc,
             "mass": self.mass,
             "energy": self.energy,
         }
@@ -164,64 +140,39 @@ def _lqt(values: np.ndarray, times: np.ndarray, q: float) -> float:
     return float(np.trapezoid(values**q, times) ** (1.0 / q))
 
 
-def space_time_norms(traj, interval, sobolev_orders=(S_CRITICAL,)) -> NormReport:
+def space_time_norms(traj, interval) -> NormReport:
     """S, W, N norms over the interval, all from the same stored frames.
 
     S = L^15_{t,x}; W = max of |nabla|^sc u in L^{10/3}_{t,x} and in
-    L^15_t L^{90/41}_x; N = |nabla|^sc (|u|^6 u) in L^{10/7}_{t,x}.
+    L^15_t L^{90/41}_x; N = |nabla|^sc (|u|^6 u) in L^{10/7}_{t,x}.  S,
+    mass, energy and sup ||u||_{H^sc} come from the trajectory's cached
+    densities; only W and N transform frames, in blocks.
     """
-    t_a, t_b = interval
-    sel = _frames_in(traj, t_a, t_b)
+    sel = _frames_in(traj.times, *interval)
     if sel.size < 2:
         raise ValueError("interval must contain at least two frames")
     times = traj.times[sel]
-
-    l15 = np.empty(sel.size)
+    d = {k: traj.densities[k][sel] for k in ("s_density", "H_sc", "mass", "energy")}
+    g = traj.grid
     w_a = np.empty(sel.size)  # ||  |nabla|^sc u ||_{L^{10/3}_x}
     w_b = np.empty(sel.size)  # ||  |nabla|^sc u ||_{L^{90/41}_x}
     n_v = np.empty(sel.size)  # ||  |nabla|^sc (|u|^6 u) ||_{L^{10/7}_x}
-    sup_sob = {s: 0.0 for s in sobolev_orders}
-    masses = np.empty(sel.size)
-    energies = np.empty(sel.size)
-
-    for out_i, m in enumerate(sel):
-        u = traj.field(m)
-        du = fractional_apply(u, S_CRITICAL)
-        cubic7 = RadialField(u.grid, np.abs(u.values) ** 6 * u.values)
-        dnl = fractional_apply(cubic7, S_CRITICAL)
-        l15[out_i] = lebesgue_norm(u, 15.0)
-        w_a[out_i] = lebesgue_norm(du, 10.0 / 3.0)
-        w_b[out_i] = lebesgue_norm(du, 90.0 / 41.0)
-        n_v[out_i] = lebesgue_norm(dnl, 10.0 / 7.0)
-        masses[out_i] = mass(u)
-        energies[out_i] = energy(u)
-        for s in sobolev_orders:
-            sup_sob[s] = max(sup_sob[s], sobolev_norm(u, s))
-
-    S = _lqt(l15, times, 15.0)
-    W = max(_lqt(w_a, times, 10.0 / 3.0), _lqt(w_b, times, 15.0))
-    N = _lqt(n_v, times, 10.0 / 7.0)
+    for lo in range(0, sel.size, _FRAME_BLOCK):
+        blk = slice(lo, lo + _FRAME_BLOCK)
+        u = traj.frames[sel[blk]]
+        du = _fractional_rows(u, g, S_CRITICAL)
+        w_a[blk] = _lp_rows(du, g, 10.0 / 3.0)
+        w_b[blk] = _lp_rows(du, g, 90.0 / 41.0)
+        n_v[blk] = _lp_rows(_fractional_rows(np.abs(u) ** 6 * u, g, S_CRITICAL), g, 10.0 / 7.0)
     return NormReport(
-        interval=(float(t_a), float(t_b)),
-        S=S,
-        W=W,
-        N=N,
-        linf_sobolev=sup_sob,
-        mass=float(masses.mean()),
-        energy=float(energies.mean()),
+        interval=(float(interval[0]), float(interval[1])),
+        S=float(np.trapezoid(d["s_density"], times) ** (1.0 / 15.0)),
+        W=max(_lqt(w_a, times, 10.0 / 3.0), _lqt(w_b, times, 15.0)),
+        N=_lqt(n_v, times, 10.0 / 7.0),
+        sup_Hsc=float(d["H_sc"].max()),
+        mass=float(d["mass"].mean()),
+        energy=float(d["energy"].mean()),
     )
-
-
-def n_seminorm(traj, interval) -> float:
-    """||  |nabla|^sc u ||_{L^{10/7}_{t,x}} over the interval (the dual-exponent seminorm of u itself)."""
-    t_a, t_b = interval
-    sel = _frames_in(traj, t_a, t_b)
-    if sel.size < 2:
-        raise ValueError("interval must contain at least two frames")
-    vals = np.array([
-        lebesgue_norm(fractional_apply(traj.field(m), S_CRITICAL), 10.0 / 7.0) for m in sel
-    ])
-    return _lqt(vals, traj.times[sel], 10.0 / 7.0)
 
 
 def cumulative_series_integral(times: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -10,14 +10,13 @@ oracle to certify it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
 from . import functionals as fn
-from .evolve import Trajectory, free_evolve
-from .radial import sobolev_norm
+from .evolve import Trajectory, _free_flow_blocks
+from .radial import sobolev_norm, to_spectral
 
 __all__ = [
     "ProofConstants",
@@ -195,21 +194,16 @@ def partition_by_eta(times, density, eta: float) -> IntervalDecomposition:
     remainder = total - n_full * eta
     merge_sliver = remainder <= 1e-9 * eta
     cuts = [t_a]
-    for k in range(1, n_full):
+    for k in range(1, n_full if merge_sliver else n_full + 1):  # a merged sliver ends at t_b
         target = k * eta
         i = int(np.searchsorted(cum, target, side="left"))
         t_cut = times[i - 1] + (target - cum[i - 1]) / (cum[i] - cum[i - 1]) * (times[i] - times[i - 1])
         cuts.append(float(t_cut))
+    cuts.append(t_b)
     if merge_sliver:
-        cuts.append(t_b)
         masses = [eta] * (n_full - 1) + [eta + remainder]
         flags = [UNEXCEPTIONAL] * n_full
     else:
-        target = n_full * eta
-        i = int(np.searchsorted(cum, target, side="left"))
-        t_cut = times[i - 1] + (target - cum[i - 1]) / (cum[i] - cum[i - 1]) * (times[i] - times[i - 1])
-        cuts.append(float(t_cut))
-        cuts.append(t_b)
         masses = [eta] * n_full + [remainder]
         flags = [UNEXCEPTIONAL] * n_full + [TAIL]
     intervals = tuple(zip(cuts[:-1], cuts[1:]))
@@ -221,12 +215,15 @@ def partition_trajectory(traj: Trajectory, eta: float) -> IntervalDecomposition:
 
 
 def linear_density_series(traj: Trajectory, anchor_index: int) -> np.ndarray:
-    """||e^{i(t - t_anchor) L} u(t_anchor)||_L15^15 at every frame time."""
-    anchor = traj.field(anchor_index)
-    t0 = traj.times[anchor_index]
+    """||e^{i(t - t_anchor) L} u(t_anchor)||_L15^15 at every frame time.
+
+    The anchor is transformed once; each block of frame times then costs
+    one inverse transform.
+    """
+    coeffs = to_spectral(traj.field(anchor_index)).coeffs
     out = np.empty(traj.times.size)
-    for m, t in enumerate(traj.times):
-        out[m] = fn.s_density(free_evolve(anchor, t - t0))
+    for lo, u in _free_flow_blocks(coeffs, traj.grid, traj.times - traj.times[anchor_index]):
+        out[lo:lo + len(u)] = fn._s_density_rows(u, traj.grid)
     return out
 
 
@@ -237,25 +234,18 @@ def classify(decomp: IntervalDecomposition, traj: Trajectory, constants: ProofCo
     the forward flow of u(t_-) and the backward-anchored flow of u(t_+).
     The tail interval keeps its flag and is excluded from the statistics.
     """
-    t_minus, t_plus = decomp.span
-    m_minus = traj.frame_index(t_minus)
-    m_plus = traj.frame_index(t_plus)
-    d_minus = linear_density_series(traj, m_minus)
-    d_plus = linear_density_series(traj, m_plus)
-    cum_minus = fn.cumulative_series_integral(traj.times, d_minus)
-    cum_plus = fn.cumulative_series_integral(traj.times, d_plus)
+    a, b = np.array(decomp.intervals).T
+    lin = []  # the mass of each anchor's flow over every interval
+    for t_anchor in decomp.span:
+        d = linear_density_series(traj, traj.frame_index(t_anchor))
+        cum = fn.cumulative_series_integral(traj.times, d)
+        lin.append((np.interp(b, traj.times, cum) - np.interp(a, traj.times, cum)).tolist())
     threshold = decomp.eta ** constants.C1
-
-    flags, lin = [], []
-    for (a, b), flag in zip(decomp.intervals, decomp.flags):
-        im = fn.series_integral_between(traj.times, cum_minus, a, b)
-        ip = fn.series_integral_between(traj.times, cum_plus, a, b)
-        lin.append((im, ip))
-        if flag == TAIL:
-            flags.append(TAIL)
-        else:
-            flags.append(EXCEPTIONAL if max(im, ip) > threshold else UNEXCEPTIONAL)
-    return replace(decomp, flags=tuple(flags), classified=True, linear_masses=tuple(lin))
+    flags = [
+        TAIL if flag == TAIL else EXCEPTIONAL if max(im, ip) > threshold else UNEXCEPTIONAL
+        for flag, im, ip in zip(decomp.flags, *lin)
+    ]
+    return replace(decomp, flags=tuple(flags), classified=True, linear_masses=tuple(zip(*lin)))
 
 
 @dataclass(frozen=True)
@@ -288,7 +278,7 @@ def concentration_scan(traj: Trajectory, decomp: IntervalDecomposition, constant
         if radius > traj.grid.r_max:
             certs.append(ConcentrationCertificate(j, radius, reference, np.nan, np.nan, False))
             continue
-        sel = np.flatnonzero((traj.times >= a - 1e-12) & (traj.times <= b + 1e-12))
+        sel = fn._frames_in(traj.times, a, b)
         if sel.size == 0:
             sel = np.array([int(np.argmin(np.abs(traj.times - 0.5 * (a + b))))])
         ratios = [fn.localized_mass(traj.field(m), radius) / reference for m in sel]
@@ -545,7 +535,6 @@ def mass_bracketing_audit(
     decomp: IntervalDecomposition,
     sel: SelectionResult,
     constants: ProofConstants,
-    E: float,
 ) -> BracketingReport:
     """Numerical evaluation of the chained mass inequalities at t_star.
 
@@ -594,7 +583,6 @@ def mass_bracketing_audit(
     w2 = np.abs(u_star.w) ** 2
     hardy_lhs = float(4.0 * np.pi * fn.radial_integral(g, w2 / g.nodes ** (7.0 / 3.0)))
     hardy_rhs = float(eta ** (-7.0 * constants.C / 3.0) * sobolev_norm(u_star, fn.S_CRITICAL) ** 2)
-    _ = E
     k_cap = constants.C * eta ** (-constants.C)
     with np.errstate(over="ignore"):
         ceiling = float(np.exp(min(constants.C * eta ** (-constants.C), 700.0)))
@@ -654,31 +642,3 @@ def synthetic_decomposition(
         flags=tuple(flags),
         classified=True,
     )
-
-
-def decomposition_to_cache(decomp: IntervalDecomposition, path) -> None:
-    """Compact binary cache for large sweeps."""
-    iv = np.array(decomp.intervals)
-    np.savez_compressed(
-        path,
-        t0=iv[:, 0],
-        t1=iv[:, 1],
-        masses=np.array(decomp.masses),
-        eta=np.array([decomp.eta]),
-        flags=np.array(decomp.flags, dtype="U13"),
-    )
-
-
-def decomposition_from_cache(path) -> IntervalDecomposition:
-    z = np.load(path)
-    return IntervalDecomposition(
-        intervals=tuple(zip(z["t0"], z["t1"])),
-        masses=tuple(z["masses"]),
-        eta=float(z["eta"][0]),
-        flags=tuple(str(f) for f in z["flags"]),
-        classified=True,
-    )
-
-
-def selection_to_json_str(sel: SelectionResult) -> str:
-    return json.dumps(sel.to_json(), indent=2, sort_keys=True)

@@ -1,5 +1,6 @@
 """Explicit formula evaluations and continuity-argument bookkeeping."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -282,9 +283,11 @@ class TestBootstrapMonitor:
         assert max(n_cuts) > 100
 
     def test_missing_cached_norms_rejected(self, grid_small):
-        ctl = StepController(dt_max=0.01, snapshot_stride=0.05, cache_sc_plus1=False)
+        ctl = StepController(dt_max=0.01, snapshot_stride=0.05)
         traj = evolve(gaussian_field(grid_small), (0.0, 0.2), ctl)
-        with pytest.raises(ValueError, match="cache_sc_plus1"):
+        nan_series = np.full(traj.times.size, np.nan)
+        traj = dataclasses.replace(traj, densities={**traj.densities, "H_sc_plus1": nan_series})
+        with pytest.raises(ValueError, match="H_sc_plus1"):
             bootstrap_monitor(traj, "theorem1",
                               {"log_R0": 10.0, "delta": 1e-8, "E0": 1.0, "m_ceiling": 10.0}, CONST)
 

@@ -1,18 +1,19 @@
 """Harness: config validation, simulate/resume determinism, diagnose, select, sweep."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from snls.checkpoints import (
-    field_to_csv,
     read_field,
     read_trajectory_frames,
     truncate_trajectory_frames,
     write_field,
 )
-from snls.cli import EXIT_BLOWUP, EXIT_OK, load_run, main, run_simulation
+from snls import intervals
+from snls.cli import EXIT_BLOWUP, EXIT_CONFIG, EXIT_OK, diagnose_trajectory, load_run, main, run_simulation
 from snls.config import ConfigError, RunConfig
 from snls.intervals import IntervalDecomposition, UNEXCEPTIONAL
 
@@ -66,14 +67,6 @@ class TestFieldCheckpoints:
         raw = p.read_bytes()
         assert raw[:4] == b"SNLS"
 
-    def test_csv_export(self, tmp_path, grid_small):
-        f = gaussian_field(grid_small)
-        p = tmp_path / "f.csv"
-        field_to_csv(p, f)
-        lines = p.read_text().splitlines()
-        assert lines[0] == "r,re_u,im_u"
-        assert len(lines) == grid_small.n + 1
-
     def test_truncated_file_rejected(self, tmp_path, grid_small):
         f = gaussian_field(grid_small)
         p = tmp_path / "f.snls"
@@ -81,6 +74,47 @@ class TestFieldCheckpoints:
         p.write_bytes(p.read_bytes()[:-8])
         with pytest.raises(ValueError, match="truncated"):
             read_field(p)
+
+
+class TestFrameLog:
+    HEADER = 24
+
+    def test_record_layout(self, tmp_path):
+        # header, then per frame: t as f64, then (re, im) f64 pairs, all little-endian
+        cfg = RunConfig.from_dict(FAST)
+        traj, _ = run_simulation(cfg, tmp_path / "run")
+        raw = (tmp_path / "run" / "frames.snls").read_bytes()
+        expected = struct.pack("<4sIQd", b"SNLS", 1, cfg.n, cfg.r_max)
+        for t, u in zip(traj.times, traj.frames):
+            pairs = np.column_stack([u.real, u.imag]).astype("<f8")
+            expected += struct.pack("<d", t) + pairs.tobytes()
+        assert raw == expected
+        ckpt = (tmp_path / "run" / "checkpoint.snls").read_bytes()
+        assert ckpt == expected[:self.HEADER] + np.column_stack(
+            [traj.frames[-1].real, traj.frames[-1].imag]).astype("<f8").tobytes()
+
+    def test_cut_last_record_reads_intact_prefix(self, tmp_path):
+        cfg = RunConfig.from_dict(FAST)
+        run_simulation(cfg, tmp_path / "run")
+        raw = (tmp_path / "run" / "frames.snls").read_bytes()
+        _, times, frames = read_trajectory_frames(tmp_path / "run" / "frames.snls")
+        rec = 8 + 16 * cfg.n
+        assert len(raw) == self.HEADER + times.size * rec
+        cut = tmp_path / "cut.snls"
+        for size in range(len(raw) - rec, len(raw)):
+            cut.write_bytes(raw[:size])
+            _, t2, f2 = read_trajectory_frames(cut)
+            assert np.array_equal(t2, times[:-1]) and np.array_equal(f2, frames[:-1])
+
+    def test_diagnose_on_cut_header_exits_2(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert main(["simulate", "--config", str(write_cfg(tmp_path)), "--out", str(run_dir)]) == 0
+        log = run_dir / "frames.snls"
+        raw = log.read_bytes()
+        for size in range(self.HEADER):
+            log.write_bytes(raw[:size])
+            assert main(["diagnose", str(run_dir)]) == EXIT_CONFIG
+        assert "truncated header" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -135,6 +169,14 @@ class TestSimulate:
         traj, code = run_simulation(cfg, tmp_path / "run")
         assert code == EXIT_BLOWUP and traj.status == "blowup_abort"
 
+    def test_dt_overflow_exit_status(self, tmp_path):
+        # sup|u|^6 overflows float64 at amplitude 1e60; the run ends with dt_underflow
+        cfg_path = write_cfg(tmp_path, amplitude=1e60, blowup_ceiling=float("inf"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+        assert code == EXIT_BLOWUP
+        assert json.loads((tmp_path / "run" / "manifest.json").read_text())["status"] == "dt_underflow"
+
     def test_zero_amplitude_clean(self, tmp_path):
         cfg = RunConfig.from_dict({**FAST, "amplitude": 0.0})
         traj, code = run_simulation(cfg, tmp_path / "run")
@@ -164,6 +206,25 @@ class TestCommands:
     def test_declare_mode_requires_value(self):
         with pytest.raises(ConfigError, match="e_declared"):
             RunConfig(e_mode="declare").validate()
+
+    def test_diagnose_builds_each_anchor_series_once(self, tmp_path, monkeypatch):
+        cfg = RunConfig.from_dict(FAST)
+        run_simulation(cfg, tmp_path / "run")
+        _, traj = load_run(tmp_path / "run")
+        calls = []
+        real = intervals.linear_density_series
+
+        def counted(traj, anchor_index):
+            calls.append(anchor_index)
+            return real(traj, anchor_index)
+
+        monkeypatch.setattr(intervals, "linear_density_series", counted)
+        report = diagnose_trajectory(traj, cfg.proof_constants())
+        assert calls == [0, traj.times.size - 1]
+        # the ratios still equal the whole-span L^15 mass of each anchor's free flow
+        for m, ratio in zip(calls, report["strichartz_ratios"]):
+            total = np.trapezoid(real(traj, m), traj.times)
+            assert ratio == pytest.approx(total ** (1.0 / 15.0) / traj.densities["H_sc"][m], rel=1e-12)
 
     def test_diagnose_schema_stable(self, tmp_path):
         cfg_path = write_cfg(tmp_path)

@@ -8,6 +8,7 @@ import pytest
 from snls.evolve import (
     StepController,
     _snapshot_times,
+    rebuild_trajectory,
     average_translate,
     duhamel_residual,
     duhamel_tail,
@@ -142,6 +143,24 @@ class TestEvolve:
         traj = evolve(gaussian_field(grid_small), (0.0, 0.3), ctl)
         assert traj.status == "blowup_abort"
         assert traj.times.size >= 1  # partial trajectory preserved
+
+    def test_dt_overflow_ends_in_dt_underflow(self, grid_small):
+        # sup|u|^6 overflows float64: no step can be taken, and the run must stop
+        ctl = StepController(dt_max=0.01, snapshot_stride=0.05, blowup_ceiling=np.inf)
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = evolve(gaussian_field(grid_small, amplitude=1e60), (0.0, 0.2), ctl)
+        assert traj.status == "dt_underflow"
+        assert traj.times.size == 1 and traj.provenance["telemetry"]["steps"] == 0
+
+    def test_rebuilt_densities_match_across_blocks(self, grid_small):
+        # 41 frames span three blocks; evolve computes each frame's densities on its own
+        ctl = StepController(dt_max=0.005, snapshot_stride=0.01)
+        traj = evolve(gaussian_field(grid_small, amplitude=1.2), (0.0, 0.4), ctl)
+        assert traj.times.size == 41
+        again = rebuild_trajectory(traj.grid, traj.times, traj.frames, ctl)
+        for k, v in traj.densities.items():
+            assert np.array_equal(again.densities[k], v), k
+        assert again.boundary_breach == traj.boundary_breach
 
     def test_small_data_scattering(self):
         g = RadialGrid(160.0, 8192)

@@ -3,20 +3,18 @@
 import numpy as np
 import pytest
 
-from snls.evolve import StepController, linear_trajectory
+from snls.evolve import StepController, evolve, linear_trajectory
 from snls.functionals import (
-    Cutoff,
     cutoff_profile,
     energy,
     localized_mass,
     localized_mass_rate,
     mass,
     morawetz_flux,
-    n_seminorm,
     s_density,
     space_time_norms,
 )
-from snls.radial import RadialField, lebesgue_norm, rescale, sobolev_norm
+from snls.radial import RadialField, fractional_apply, lebesgue_norm, rescale, sobolev_norm
 
 from conftest import gaussian_field, random_smooth_field
 
@@ -33,9 +31,9 @@ class TestCutoff:
         assert np.all((0 <= chi) & (chi <= 1))
 
     def test_scaled(self):
-        c = Cutoff(4.0)
-        assert c(np.array([1.9]))[0] == 1.0
-        assert c(np.array([4.1]))[0] == 0.0
+        # chi(x/R) at R = 4: flat inside R/2, zero beyond R
+        chi = cutoff_profile(np.array([1.9, 4.1]) / 4.0)
+        assert chi[0] == 1.0 and chi[1] == 0.0
 
 
 class TestMassEnergy:
@@ -145,12 +143,35 @@ class TestSpaceTimeNorms:
         rb = space_time_norms(linear_trajectory(g, (0.0, 0.4), ctl), (0.0, 0.4))
         assert np.isclose(rb.S, 2.0 * ra.S, rtol=1e-9)
         assert np.isclose(rb.W, 2.0 * ra.W, rtol=1e-9)
-        # the dual-exponent seminorm of u itself is also degree one
-        na = n_seminorm(linear_trajectory(f, (0.0, 0.4), ctl), (0.0, 0.4))
-        nb = n_seminorm(linear_trajectory(g, (0.0, 0.4), ctl), (0.0, 0.4))
-        assert np.isclose(nb, 2.0 * na, rtol=1e-9)
         # the report's N field carries the nonlinearity, degree seven
         assert np.isclose(rb.N, 2.0**7 * ra.N, rtol=1e-9)
+
+    def test_block_norms_match_per_frame_formulas(self, grid_small):
+        # 21 frames: one block of 16 and a short one; W and N against a field-at-a-time loop
+        ctl = StepController(dt_max=0.005, snapshot_stride=0.02)
+        traj = evolve(gaussian_field(grid_small, amplitude=1.3), (0.0, 0.4), ctl)
+        assert traj.times.size == 21
+        rep = space_time_norms(traj, (0.0, 0.4))
+        t = traj.times
+        w_a, w_b, n_v = [], [], []
+        for m in range(t.size):
+            u = traj.field(m)
+            du = fractional_apply(u, SC)
+            dnl = fractional_apply(RadialField(u.grid, np.abs(u.values) ** 6 * u.values), SC)
+            w_a.append(lebesgue_norm(du, 10.0 / 3.0))
+            w_b.append(lebesgue_norm(du, 90.0 / 41.0))
+            n_v.append(lebesgue_norm(dnl, 10.0 / 7.0))
+
+        def lqt(v, q):
+            return np.trapezoid(np.array(v) ** q, t) ** (1.0 / q)
+
+        W = max(lqt(w_a, 10.0 / 3.0), lqt(w_b, 15.0))
+        assert abs(rep.W - W) <= 1e-12 * W
+        assert abs(rep.N - lqt(n_v, 10.0 / 7.0)) <= 1e-12 * rep.N
+        d = traj.densities
+        assert rep.S == np.trapezoid(d["s_density"], t) ** (1.0 / 15.0)
+        assert rep.mass == d["mass"].mean() and rep.energy == d["energy"].mean()
+        assert rep.sup_Hsc == d["H_sc"].max()
 
     def test_single_frame_rejected(self, grid_small):
         traj = linear_trajectory(gaussian_field(grid_small), (0.0, 0.3), StepController(snapshot_stride=0.05))

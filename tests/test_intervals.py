@@ -5,7 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from snls.evolve import StepController, evolve, linear_trajectory
+from snls.evolve import StepController, evolve, free_evolve, linear_trajectory
+from snls.functionals import s_density
 from snls.intervals import (
     EXCEPTIONAL,
     TAIL,
@@ -16,9 +17,8 @@ from snls.intervals import (
     check_selection_invariants,
     classify,
     concentration_scan,
-    decomposition_from_cache,
-    decomposition_to_cache,
     dyadic_tail_check,
+    linear_density_series,
     linear_flow_floor,
     partition_by_eta,
     partition_trajectory,
@@ -115,6 +115,20 @@ class TestClassify:
             d = classify(decomp, traj, ProofConstants(C1=c1, C2=2.0))
             counts.append(len(d.indices(EXCEPTIONAL)))
         assert counts[0] <= counts[1] <= counts[2]
+
+
+class TestLinearDensitySeries:
+    def test_matches_per_frame_free_evolve(self, grid_small):
+        # 37 frames: two full blocks of 16 and a short one; the anchor sits mid-run
+        ctl = StepController(dt_max=0.005, snapshot_stride=0.01)
+        traj = evolve(gaussian_field(grid_small, amplitude=1.2, chirp=0.1), (0.0, 0.36), ctl)
+        assert traj.times.size == 37
+        anchor = 20
+        ref = np.array([
+            s_density(free_evolve(traj.field(anchor), t - traj.times[anchor])) for t in traj.times
+        ])
+        got = linear_density_series(traj, anchor)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestSelectLongInterval:
@@ -314,11 +328,3 @@ class TestSerialization:
         d = synthetic_decomposition(rng, 30, 0.2)
         d2 = IntervalDecomposition.from_json(d.to_json())
         assert d2.intervals == d.intervals and d2.flags == d.flags and d2.eta == d.eta
-
-    def test_binary_cache_round_trip(self, tmp_path):
-        rng = np.random.default_rng(62)
-        d = synthetic_decomposition(rng, 30, 0.2)
-        path = tmp_path / "decomp.npz"
-        decomposition_to_cache(d, path)
-        d2 = decomposition_from_cache(path)
-        assert np.allclose(d2.lengths(), d.lengths()) and d2.flags == d.flags
