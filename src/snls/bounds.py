@@ -10,12 +10,12 @@ and re-substitution checks run in log space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import functionals as fn
-from .intervals import ProofConstants
+from .intervals import ProofConstants, eta_of
 from .radial import _FRAME_BLOCK, _fractional_rows, _lp_rows
 
 __all__ = [
@@ -39,15 +39,6 @@ def _sat_exp(x: float) -> tuple[float, bool]:
     if x >= LOG_MAX:
         return math.inf, True
     return math.exp(x), False
-
-
-def eta_of(E: float, C2: float) -> float:
-    """eta = (1/C2) (1+E)^(-C2)."""
-    if E < 0:
-        raise ValueError(f"E must be nonnegative, got {E}")
-    if C2 < 1:
-        raise ValueError(f"C2 must be >= 1, got {C2}")
-    return (1.0 / C2) * (1.0 + E) ** (-C2)
 
 
 @dataclass(frozen=True)
@@ -131,12 +122,21 @@ def scattering_shape_exponents(constants: ProofConstants, E_grid) -> tuple[float
     Substituting eta(E) makes log(2 J eta) ~ C C2^C (1+E)^(C C2): the same
     double-exponential shape as exp(C E^C) with exponent C*C2.
     """
-    C, C2 = constants.C, constants.C2
     E = np.asarray(E_grid, dtype=float)
-    eta = (1.0 / C2) * (1.0 + E) ** (-C2)
-    log_2jeta = np.log(2.0) + C * eta ** (-C) + np.log(eta)
+    eta = constants.eta(E)
+    log_2jeta = np.log(2.0) + constants.dist_cap(eta) + np.log(eta)
     slope = np.polyfit(np.log(1.0 + E), np.log(log_2jeta), 1)[0]
-    return float(slope), float(C * C2)
+    return float(slope), float(constants.C * constants.C2)
+
+
+def _interp_ceiling_log(delta: float, E0: float, log_2R0: float) -> float:
+    """log of the interpolation ceiling E0^(1-delta) (2 R0)^delta on sup ||u||_{H^sc}."""
+    return (1.0 - delta) * math.log(E0) + delta * log_2R0
+
+
+def _corollary_count(log_M0: float, constants: ProofConstants) -> float:
+    """2 C C_tilde log^(1/2)(2 M0), the corollary's interval-count ceiling."""
+    return 2.0 * constants.C * constants.C_tilde * math.sqrt(log_M0 + math.log(2.0))
 
 
 def slow_growth_g(t: float, C: float) -> float:
@@ -210,7 +210,7 @@ def theorem1_plan(M: float, E0: float, delta: float, constants: ProofConstants) 
     bound_log = math.log(C) + C * math.exp(min(log_EM, LOG_MAX))
     bound = _saturating(bound_log)
 
-    interp_log = (1.0 - delta) * math.log(E0) + delta * log_2R0
+    interp_log = _interp_ceiling_log(delta, E0, log_2R0)
 
     if delta >= delta0:
         return PlanResult(
@@ -244,20 +244,12 @@ def relaxed_regularity_plan(M: float, E: float, delta: float, eps_reg: float, co
     theta = delta / eps_reg
     if theta >= 1:
         rough = theorem1_plan(M, E, min(delta, 0.5), constants)
-        return PlanResult(
-            closed=False,
-            failure=f"theta = delta/eps_reg = {theta} >= 1: interpolation cannot reach sc",
-            R0=rough.R0, delta0=eps_reg * rough.delta0, delta=delta,
-            m_ceiling=math.inf, s_ceiling_log=math.inf, bound=rough.bound,
-            interp_ceiling_log=math.inf, theta=theta,
-        )
+        return replace(rough, closed=False,
+                       failure=f"theta = delta/eps_reg = {theta} >= 1: interpolation cannot reach sc",
+                       delta0=eps_reg * rough.delta0, delta=delta, m_ceiling=math.inf,
+                       s_ceiling_log=math.inf, interp_ceiling_log=math.inf, theta=theta)
     plan = theorem1_plan(M, E, theta, constants)
-    return PlanResult(
-        closed=plan.closed, failure=plan.failure, R0=plan.R0,
-        delta0=eps_reg * plan.delta0, delta=delta, m_ceiling=plan.m_ceiling,
-        s_ceiling_log=plan.s_ceiling_log, bound=plan.bound,
-        interp_ceiling_log=plan.interp_ceiling_log, theta=theta,
-    )
+    return replace(plan, delta0=eps_reg * plan.delta0, delta=delta, theta=theta)
 
 
 @dataclass(frozen=True)
@@ -269,10 +261,8 @@ class M0Result:
 
 def _m0_gap(x: float, log_u0: float, constants: ProofConstants) -> float:
     """lhs - rhs of the M0 inequality at x = log(M0)."""
-    C, Ct, Cp = constants.C, constants.C_tilde, constants.C_prime
-    lhs = 2.0 * C * Ct * math.sqrt(x + math.log(2.0))
-    rhs = (x - math.log(3.0 * Cp) - log_u0) / math.log(2.0 * Ct)
-    return lhs - rhs
+    rhs = (x - math.log(3.0 * constants.C_prime) - log_u0) / math.log(2.0 * constants.C_tilde)
+    return _corollary_count(x, constants) - rhs
 
 
 def m0_solve(u0_norm: float, constants: ProofConstants, rel_tol: float = 1e-6) -> M0Result:
@@ -344,12 +334,11 @@ def bootstrap_monitor(traj, mode: str, params: dict, constants: ProofConstants):
 
     if mode == "theorem1":
         log_R0 = params["log_R0"]
-        delta, E0 = params["delta"], params["E0"]
-        interp_log = (1.0 - delta) * math.log(E0) + delta * (math.log(2.0) + log_R0)
+        interp_log = _interp_ceiling_log(params["delta"], params["E0"], math.log(2.0) + log_R0)
         m_ceiling = params["m_ceiling"]
     else:
         log_M0 = params["log_M0"]
-        m_ceiling = 2.0 * C * Ct * math.sqrt(log_M0 + math.log(2.0))
+        m_ceiling = _corollary_count(log_M0, constants)
 
     def functional_log(m):
         sup_hsc = d["H_sc"][: m + 1].max()
@@ -453,14 +442,12 @@ class BoundReport:
 
 
 def build_bound_report(E: float, M: float, delta: float, constants: ProofConstants) -> BoundReport:
-    eta = eta_of(E, constants.C2)
-    ceiling = constants.C * max(E, 1.0) ** 15 / eta**constants.C1
     grid = [10.0, 1e3, 1e6, 1e12]
     g_vals = {f"{t:g}": slow_growth_g(t, constants.C) for t in grid}
     return BoundReport(
         E=E, M=M, delta=delta, constants=constants,
-        eta=eta,
-        exceptional_ceiling=float(ceiling),
+        eta=constants.eta(E),
+        exceptional_ceiling=constants.exceptional_ceiling(E),
         scattering=scattering_bound(E, constants.C),
         plan=theorem1_plan(M, max(E, 1.0), delta, constants),
         M0=m0_solve(max(M, 1e-12), constants),

@@ -21,7 +21,7 @@ import numpy as np
 from . import bounds as bd
 from . import checkpoints as ckpt
 from . import intervals as iv
-from .config import ConfigError, RunConfig
+from .config import ConfigError, RunConfig, _require, read_json
 from .evolve import Trajectory, evolve, rebuild_trajectory
 from .radial import RadialField
 
@@ -40,12 +40,9 @@ def _resolve_out(path_str: str) -> Path:
 
 
 def _load_constants(args, cfg: RunConfig | None = None) -> iv.ProofConstants:
-    if getattr(args, "constants", None):
-        with open(args.constants) as f:
-            return iv.ProofConstants(**json.load(f))
-    if cfg is not None:
-        return cfg.proof_constants()
-    return iv.ProofConstants()
+    if args.constants:
+        return read_json(args.constants, iv.ProofConstants.from_dict)
+    return cfg.proof_constants() if cfg is not None else iv.ProofConstants()
 
 
 def run_simulation(cfg: RunConfig, out_dir: Path, resume: bool = False) -> tuple[Trajectory, int]:
@@ -61,10 +58,9 @@ def run_simulation(cfg: RunConfig, out_dir: Path, resume: bool = False) -> tuple
     t_start, u_start = t_a, cfg.build_initial_field()
     append = False
     if resume and frames_path.exists():
-        manifest = ckpt.read_manifest(manifest_path)
+        manifest, (old_grid, old_times, old_frames) = _read_run_dir(out_dir)
         if manifest["config"] != cfg.to_dict():
             raise ConfigError("resume: config does not match the run directory manifest")
-        old_grid, old_times, old_frames = ckpt.read_trajectory_frames(frames_path)
         if old_grid != grid:
             raise ConfigError("resume: grid mismatch in frame log")
         if old_times.size:
@@ -102,23 +98,15 @@ def run_simulation(cfg: RunConfig, out_dir: Path, resume: bool = False) -> tuple
         csv_f.flush()
         ckpt.write_field(out_dir / "checkpoint.snls", field)
 
-    telemetry = None  # stays None when the run was already complete and nothing is stepped
+    telemetry, status = None, "ok"  # as they stay when a resumed run was already complete
     try:
-        if t_start >= t_b - 1e-12 * max(1.0, abs(t_b)):
-            grid2, times, frames = ckpt.read_trajectory_frames(frames_path)
-            traj = rebuild_trajectory(grid2, times, frames, ctl, provenance={"config": cfg.to_dict()})
-        else:
-            traj = evolve(
-                u_start, (t_start, t_b), ctl,
-                provenance={"config": cfg.to_dict()},
-                on_frame=on_frame,
-                snap_anchor=t_a,
-            )
-            telemetry = traj.provenance["telemetry"]
-            if append:
-                grid2, times, frames = ckpt.read_trajectory_frames(frames_path)
-                traj = rebuild_trajectory(grid2, times, frames, ctl,
-                                          provenance={"config": cfg.to_dict()}, status=traj.status)
+        if t_start < t_b - 1e-12 * max(1.0, abs(t_b)):
+            traj = evolve(u_start, (t_start, t_b), ctl, provenance={"config": cfg.to_dict()},
+                          on_frame=on_frame, snap_anchor=t_a)
+            telemetry, status = traj.provenance["telemetry"], traj.status
+        if append or telemetry is None:  # a resumed run's trajectory is its whole frame log
+            traj = rebuild_trajectory(*ckpt.read_trajectory_frames(frames_path), ctl,
+                                      provenance={"config": cfg.to_dict()}, status=status)
     finally:
         writer.close()
         csv_f.close()
@@ -138,15 +126,23 @@ def run_simulation(cfg: RunConfig, out_dir: Path, resume: bool = False) -> tuple
     return traj, EXIT_OK
 
 
+def _read_run_dir(run_dir: Path) -> tuple[dict, tuple]:
+    """(manifest, (grid, times, frames)) of a run directory; a malformed file is a ConfigError."""
+    try:
+        manifest = ckpt.read_manifest(run_dir / "manifest.json")
+        _require(isinstance(manifest, dict) and "config" in manifest, "manifest.json", "has no config")
+        return manifest, ckpt.read_trajectory_frames(run_dir / "frames.snls")
+    except ValueError as exc:
+        raise ConfigError(f"{run_dir}: {exc}") from exc
+
+
 def load_run(run_dir: Path) -> tuple[RunConfig, Trajectory]:
-    manifest = ckpt.read_manifest(run_dir / "manifest.json")
+    manifest, (grid, times, frames) = _read_run_dir(run_dir)
     cfg = RunConfig.from_dict(manifest["config"])
-    grid, times, frames = ckpt.read_trajectory_frames(run_dir / "frames.snls")
     if times.size < 2:
-        raise ValueError(f"incomplete trajectory in {run_dir}: {times.size} frame(s)")
-    status = manifest.get("status", "ok")
+        raise ConfigError(f"incomplete trajectory in {run_dir}: {times.size} frame(s)")
     traj = rebuild_trajectory(grid, times, frames, cfg.controller(),
-                              provenance={"config": cfg.to_dict()}, status=status)
+                              provenance={"config": cfg.to_dict()}, status=manifest.get("status", "ok"))
     return cfg, traj
 
 
@@ -190,7 +186,7 @@ def diagnose_trajectory(traj: Trajectory, constants: iv.ProofConstants,
         "eta": eta,
         "counts": {"J": J, "B": B, "G": G, "tail": n_tail},
         "all_exceptional": G == 0,
-        "exceptional_ceiling": float(constants.C * max(E, 1.0) ** 15 / eta**constants.C1),
+        "exceptional_ceiling": constants.exceptional_ceiling(E),
         "strichartz_ratios": strich,
         "linear_masses": [list(pair) for pair in (lm or [])],
         "reintegration": {
@@ -209,17 +205,9 @@ def diagnose_trajectory(traj: Trajectory, constants: iv.ProofConstants,
 
 
 def _cmd_simulate(args) -> int:
-    try:
-        cfg = RunConfig.load(args.config)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = RunConfig.load(args.config)
     out_dir = _resolve_out(args.out or cfg.out_dir)
-    try:
-        traj, code = run_simulation(cfg, out_dir, resume=args.resume)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    traj, code = run_simulation(cfg, out_dir, resume=args.resume)
     print(f"simulate: {out_dir} status={traj.status} frames={traj.times.size} "
           f"breach={traj.boundary_breach}")
     return code
@@ -227,11 +215,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     run_dir = Path(args.run_dir)
-    try:
-        cfg, traj = load_run(run_dir)
-    except (OSError, ValueError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg, traj = load_run(run_dir)
     constants = _load_constants(args, cfg)
     report = diagnose_trajectory(traj, constants, cfg.e_mode, cfg.e_declared)
     out = Path(args.out) if args.out else run_dir / "diagnose.json"
@@ -243,8 +227,7 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_select(args) -> int:
-    with open(args.instance) as f:
-        decomp = iv.IntervalDecomposition.from_json(json.load(f))
+    decomp = read_json(args.instance, iv.IntervalDecomposition.from_json)
     constants = _load_constants(args)
     sel = iv.recursive_select(decomp, constants, removal_span=args.removal_span)
     iv.check_selection_invariants(decomp, sel)
@@ -256,15 +239,17 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    _require(0 <= args.E < np.inf and args.M > 0 and 0 < args.delta < 1, "bounds",
+             f"need 0 <= E < inf, M > 0 and 0 < delta < 1, got E={args.E}, M={args.M}, delta={args.delta}")
     constants = _load_constants(args)
+    run_dir = Path(args.monitor) if args.monitor else None
+    traj = load_run(run_dir)[1] if run_dir else None  # a bad run directory ends the command before any output
     report = bd.build_bound_report(args.E, args.M, args.delta, constants)
     payload = json.dumps(report.to_json(), indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(payload + "\n")
     print(payload)
-    if args.monitor:
-        run_dir = Path(args.monitor)
-        cfg, traj = load_run(run_dir)
+    if traj is not None:
         plan = report.plan
         records = bd.bootstrap_monitor(
             traj, "theorem1",
@@ -305,14 +290,11 @@ def _sweep_cell(payload) -> dict:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        with open(args.config) as f:
-            spec = json.load(f)
-        base = spec["base"]
-        sweep = spec["sweep"]
-    except (OSError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: sweep config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    spec = read_json(args.config)
+    _require(isinstance(spec, dict) and isinstance(spec.get("base"), dict) and isinstance(spec.get("sweep"), dict)
+             and all(isinstance(v, list) for v in spec["sweep"].values()),
+             str(args.config), "a sweep spec needs a 'base' object and a 'sweep' object of lists")
+    base, sweep = spec["base"], spec["sweep"]
     out_dir = _resolve_out(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -380,7 +362,11 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_sweep)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field as dc_field
+import numbers
+from dataclasses import asdict, dataclass, field as dc_field, fields
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,19 @@ def initial_field(grid: RadialGrid, family: str, amplitude: float, width: float,
 
 
 class ConfigError(ValueError):
-    """Invalid run configuration; the message carries the offending field path."""
+    """Bad input from outside the program; the message names the offending file or field path."""
+
+
+def read_json(path, parse=None):
+    """Read a JSON input file and apply parse to it; malformed input is a ConfigError naming the file."""
+    with open(path) as f:
+        try:
+            obj = json.load(f)
+            return obj if parse is None else parse(obj)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+        except (KeyError, TypeError) as exc:
+            raise ConfigError(f"{path}: malformed input ({exc!r})") from exc
 
 
 def _require(cond: bool, path: str, msg: str):
@@ -68,44 +81,35 @@ class RunConfig:
     out_dir: str = "runs/default"
 
     def validate(self) -> "RunConfig":
-        _require(self.r_max > 0 and np.isfinite(self.r_max), "grid.r_max", "must be positive and finite")
-        try:
-            self.grid()  # with r_max checked, the grid's rule on n is what can fail
-        except ValueError as exc:
-            raise ConfigError(f"grid.n: {exc}") from exc
-        for name in ("dt_max", "snapshot_stride"):
-            _require(getattr(self, name) > 0, f"controller.{name}", "must be positive")
-        _require(0 < self.theta <= 1, "controller.theta", "must lie in (0, 1]")
-        _require(self.boundary_mass_tol > 0, "controller.boundary_mass_tol", "must be positive")
-        _require(self.blowup_ceiling > 0, "controller.blowup_ceiling", "must be positive")
+        for prefix, build in (("grid.", self.grid), ("controller.", self.controller),
+                              ("constants: ", self.proof_constants)):
+            try:
+                build()
+            except ValueError as exc:
+                raise ConfigError(f"{prefix}{exc}") from exc
         _require(self.family in FAMILIES, "initial_data.family", f"must be one of {FAMILIES}")
-        _require(self.amplitude >= 0, "initial_data.amplitude", "must be nonnegative")
-        _require(self.width > 0, "initial_data.width", "must be positive")
-        _require(len(self.t_span) == 2 and self.t_span[0] < self.t_span[1],
-                 "time_span", f"must be an increasing pair, got {self.t_span}")
+        _require(isinstance(self.amplitude, numbers.Real) and self.amplitude >= 0,
+                 "initial_data.amplitude", "must be nonnegative")
+        _require(isinstance(self.width, numbers.Real) and self.width > 0, "initial_data.width", "must be positive")
+        _require(isinstance(self.chirp, numbers.Real), "initial_data.chirp", "must be a number")
+        _require(len(self.t_span) == 2 and all(isinstance(t, numbers.Real) for t in self.t_span)
+                 and self.t_span[0] < self.t_span[1], "time_span", f"must be an increasing pair, got {self.t_span}")
         _require(self.e_mode in ("measure", "declare"), "e_mode", "must be 'measure' or 'declare'")
         if self.e_mode == "declare":
-            _require(self.e_declared is not None and self.e_declared > 0,
+            _require(isinstance(self.e_declared, numbers.Real) and self.e_declared > 0,
                      "e_declared", "must be positive in declare mode")
-        try:
-            self.proof_constants()
-        except ValueError as exc:
-            raise ConfigError(f"constants: {exc}") from exc
         _require(isinstance(self.seed, int), "seed", "must be an integer")
+        _require(isinstance(self.out_dir, str), "out_dir", "must be a string")
         return self
 
     def grid(self) -> RadialGrid:
         return RadialGrid(r_max=self.r_max, n=self.n)
 
     def controller(self) -> StepController:
-        return StepController(
-            dt_max=self.dt_max, theta=self.theta, snapshot_stride=self.snapshot_stride,
-            boundary_mass_tol=self.boundary_mass_tol, blowup_ceiling=self.blowup_ceiling,
-            sobolev_delta=self.sobolev_delta,
-        )
+        return StepController(**{f.name: getattr(self, f.name) for f in fields(StepController)})
 
     def proof_constants(self) -> ProofConstants:
-        return ProofConstants(**self.constants)
+        return ProofConstants.from_dict(self.constants)
 
     def build_initial_field(self) -> RadialField:
         return initial_field(self.grid(), self.family, self.amplitude, self.width, self.chirp)
@@ -117,26 +121,21 @@ class RunConfig:
         return d
 
     @staticmethod
-    def from_dict(obj: dict) -> "RunConfig":
+    def from_dict(obj) -> "RunConfig":
+        _require(isinstance(obj, dict), "config", "must be a JSON object")
         obj = dict(obj)
         version = obj.pop("schema_version", SCHEMA_VERSION)
         _require(version == SCHEMA_VERSION, "schema_version", f"expected {SCHEMA_VERSION}, got {version}")
-        known = set(RunConfig.__dataclass_fields__)
-        unknown = set(obj) - known
-        _require(not unknown, sorted(unknown)[0] if unknown else "", "unknown field")
+        unknown = sorted(set(obj) - set(RunConfig.__dataclass_fields__))
+        _require(not unknown, unknown[0] if unknown else "", "unknown field")
         if "t_span" in obj:
+            _require(isinstance(obj["t_span"], (list, tuple)), "time_span", "must be a pair")
             obj["t_span"] = tuple(obj["t_span"])
-        cfg = RunConfig(**obj)
-        return cfg.validate()
+        return RunConfig(**obj).validate()
 
     @staticmethod
     def load(path) -> "RunConfig":
-        with open(path) as f:
-            try:
-                obj = json.load(f)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-        return RunConfig.from_dict(obj)
+        return read_json(path, RunConfig.from_dict)
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field as dc_field
+import numbers
+from dataclasses import asdict, dataclass, field as dc_field, fields
 
 import numpy as np
 
@@ -51,12 +52,12 @@ class StepController:
     sobolev_delta: float = 0.1
 
     def __post_init__(self):
-        if not (0 < self.theta <= 1):
-            raise ValueError(f"theta must lie in (0, 1], got {self.theta}")
-        if not (self.dt_max > 0):
-            raise ValueError(f"dt_max must be positive, got {self.dt_max}")
-        if not (self.snapshot_stride > 0):
-            raise ValueError(f"snapshot_stride must be positive, got {self.snapshot_stride}")
+        # every field lies in (0, hi]; sobolev_delta <= s_c keeps the H_sc_minus order s_c - delta in [0, s_c)
+        upper = {"theta": 1.0, "sobolev_delta": S_CRITICAL}
+        for f in fields(self):
+            value, hi = getattr(self, f.name), upper.get(f.name, math.inf)
+            if not (isinstance(value, numbers.Real) and 0 < value <= hi):
+                raise ValueError(f"{f.name} must lie in (0, {hi:.6g}], got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -331,11 +332,7 @@ def evolve(
         store(t, field)
 
     prov = dict(provenance or {})
-    prov.setdefault("controller", {
-        "dt_max": ctl.dt_max, "theta": ctl.theta, "snapshot_stride": ctl.snapshot_stride,
-        "boundary_mass_tol": ctl.boundary_mass_tol, "blowup_ceiling": ctl.blowup_ceiling,
-        "sobolev_delta": ctl.sobolev_delta,
-    })
+    prov.setdefault("controller", asdict(ctl))
     prov["telemetry"] = {
         "steps": steps,
         "halvings": halvings,

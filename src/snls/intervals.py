@@ -10,7 +10,8 @@ oracle to certify it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+import numbers
+from dataclasses import asdict, dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .evolve import Trajectory, _free_flow_blocks
 from .radial import sobolev_norm, to_spectral
 
 __all__ = [
+    "eta_of",
     "ProofConstants",
     "IntervalDecomposition",
     "SelectionResult",
@@ -40,12 +42,21 @@ EXCEPTIONAL = "exceptional"
 TAIL = "tail"
 
 
+def eta_of(E, C2: float):
+    """eta = (1/C2) (1+E)^(-C2), the partition quantum for ceiling E (scalar or array E)."""
+    if np.any(np.asarray(E) < 0):
+        raise ValueError(f"E must be nonnegative, got {E}")
+    if C2 < 1:
+        raise ValueError(f"C2 must be >= 1, got {C2}")
+    return (1.0 / C2) * (1.0 + E) ** (-C2)
+
+
 @dataclass(frozen=True)
 class ProofConstants:
     """The constant hierarchy 1 <= C0 <= C1 <= C2 plus the auxiliary knobs.
 
     The auxiliary constants are configuration, not derived quantities:
-    c (small generic), C (large generic), C_tilde (window threshold),
+    c (small generic), C >= 1 (large generic), C_tilde (window threshold),
     C_prime (bootstrap prefactor).
     """
 
@@ -60,15 +71,27 @@ class ProofConstants:
     def __post_init__(self):
         if not (1.0 <= self.C0 <= self.C1 <= self.C2):
             raise ValueError(f"need 1 <= C0 <= C1 <= C2, got {self.C0}, {self.C1}, {self.C2}")
-        for name in ("c", "C", "C_tilde", "C_prime"):
+        if not self.C >= 1:
+            raise ValueError(f"constant C must be >= 1, got {self.C}")
+        for name in ("c", "C_tilde", "C_prime"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"constant {name} must be positive")
 
+    @staticmethod
+    def from_dict(obj) -> "ProofConstants":
+        """Constants from a JSON object; an unknown key or a non-numeric value is a ValueError."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"constants must be a JSON object, got {type(obj).__name__}")
+        for key, value in obj.items():
+            if key not in ProofConstants.__dataclass_fields__:
+                raise ValueError(f"unknown constant {key!r}")
+            if not isinstance(value, numbers.Real):
+                raise ValueError(f"constant {key} must be a number, got {value!r}")
+        return ProofConstants(**obj)
+
     def eta(self, E: float) -> float:
         """eta = (1/C2) (1+E)^(-C2), the partition quantum for ceiling E."""
-        if E < 0:
-            raise ValueError(f"E must be nonnegative, got {E}")
-        return (1.0 / self.C2) * (1.0 + E) ** (-self.C2)
+        return eta_of(E, self.C2)
 
     def dist_cap(self, eta: float) -> float:
         return self.C * eta ** (-self.C)
@@ -76,8 +99,12 @@ class ProofConstants:
     def window_threshold(self, eta: float) -> float:
         return self.C_tilde * eta ** (-self.C)
 
+    def exceptional_ceiling(self, E: float) -> float:
+        """C max(E, 1)^15 / eta^C1, the ceiling on the number of exceptional intervals."""
+        return self.C * max(E, 1.0) ** 15 / self.eta(E) ** self.C1
+
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in ("C0", "C1", "C2", "c", "C", "C_tilde", "C_prime")}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -273,7 +300,7 @@ def concentration_scan(traj: Trajectory, decomp: IntervalDecomposition, constant
     for j in decomp.indices(UNEXCEPTIONAL):
         a, b = decomp.intervals[j]
         L = b - a
-        radius = constants.C * eta ** (-constants.C) * np.sqrt(L)
+        radius = constants.dist_cap(eta) * np.sqrt(L)
         reference = eta**constants.C * L ** (7.0 / 12.0)
         if radius > traj.grid.r_max:
             certs.append(ConcentrationCertificate(j, radius, reference, np.nan, np.nan, False))
@@ -556,7 +583,7 @@ def mass_bracketing_audit(
     steps = []
     for k, j in enumerate(sel.chain):
         L = float(lengths[j])
-        radius = constants.C * eta ** (-constants.C) * np.sqrt(L)
+        radius = constants.dist_cap(eta) * np.sqrt(L)
         resolvable = radius <= traj.grid.r_max
         if resolvable:
             meas = fn.localized_mass(u_star, radius)
@@ -583,9 +610,9 @@ def mass_bracketing_audit(
     w2 = np.abs(u_star.w) ** 2
     hardy_lhs = float(4.0 * np.pi * fn.radial_integral(g, w2 / g.nodes ** (7.0 / 3.0)))
     hardy_rhs = float(eta ** (-7.0 * constants.C / 3.0) * sobolev_norm(u_star, fn.S_CRITICAL) ** 2)
-    k_cap = constants.C * eta ** (-constants.C)
+    k_cap = constants.dist_cap(eta)
     with np.errstate(over="ignore"):
-        ceiling = float(np.exp(min(constants.C * eta ** (-constants.C), 700.0)))
+        ceiling = float(np.exp(min(k_cap, 700.0)))
     return BracketingReport(
         t_star=sel.t_star,
         t_frame=t_frame,

@@ -23,6 +23,7 @@ is spectrally accurate (all odd derivatives vanish at both endpoints).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -70,7 +71,7 @@ class RadialGrid:
                 f"n must be an integer >= 8 that is a power of two or has n+1 {{2,3,5}}-smooth "
                 f"(n = 2^k - 1 is fastest), got {self.n}"
             )
-        if not (self.r_max > 0 and np.isfinite(self.r_max)):
+        if not (isinstance(self.r_max, numbers.Real) and self.r_max > 0 and np.isfinite(self.r_max)):
             raise ValueError(f"r_max must be positive and finite, got {self.r_max}")
 
     @property

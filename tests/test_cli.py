@@ -1,10 +1,13 @@
 """Harness: config validation, simulate/resume determinism, diagnose, select, sweep."""
 
 import json
+import math
+import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from snls.checkpoints import (
     read_field,
@@ -15,7 +18,9 @@ from snls.checkpoints import (
 from snls import intervals
 from snls.cli import EXIT_BLOWUP, EXIT_CONFIG, EXIT_OK, diagnose_trajectory, load_run, main, run_simulation
 from snls.config import ConfigError, RunConfig
-from snls.intervals import IntervalDecomposition, UNEXCEPTIONAL
+from snls.evolve import StepController
+from snls.intervals import IntervalDecomposition, ProofConstants, UNEXCEPTIONAL, synthetic_decomposition
+from snls.radial import RadialGrid
 
 from conftest import gaussian_field
 
@@ -48,6 +53,63 @@ class TestConfig:
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
             RunConfig.from_dict({"amplituude": 1.0})
+
+    @pytest.mark.parametrize("constants, message", [
+        ({"C": 2.0, "D": 1.0}, "constants: unknown constant 'D'"),
+        ({"C": "2"}, "constants: constant C must be a number"),
+        ({"C": 0.5}, "constants: constant C must be >= 1"),
+    ])
+    def test_bad_constants_rejected(self, constants, message):
+        # an unknown key used to escape as TypeError, and C < 1 passed here but failed later in `snls bounds`
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            RunConfig.from_dict({**FAST, "constants": constants})
+
+    @pytest.mark.parametrize("field, value", [
+        ("theta", "0.1"), ("sobolev_delta", 5.0), ("sobolev_delta", -3.0),
+        ("boundary_mass_tol", -1.0), ("blowup_ceiling", -1.0),
+    ])
+    def test_bad_controller_field_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=rf"^controller\.{field} must lie in"):
+            RunConfig.from_dict({**FAST, field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("amplitude", "1"), ("chirp", None), ("t_span", 5), ("t_span", ["0", "1"]), ("out_dir", 3),
+    ])
+    def test_wrong_type_rejected(self, field, value):
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict({**FAST, field: value})
+
+    NUMBERS = st.one_of(
+        st.sampled_from([0, 0.0, -0.0, -1.0, 1.0, 0.5, 7.0 / 6.0, math.nan, math.inf, -math.inf]),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.integers(-10, 10),
+    )
+    GRID_N = st.one_of(st.sampled_from([0, -1, 7, 8, 100, 1023, 1024, 4095, 4096]),
+                       st.integers(-(2**20), 2**20), NUMBERS)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("prefix, field", [
+        ("grid.", "n"), ("grid.", "r_max"),
+        *(("controller.", f) for f in StepController.__dataclass_fields__),
+        *(("constants: ", f) for f in ProofConstants.__dataclass_fields__),
+    ])
+    def test_each_rule_has_one_owner(self, prefix, field, data):
+        """RunConfig rejects a value exactly when the component that owns the field does."""
+        value = data.draw(self.GRID_N if field == "n" else self.NUMBERS)
+        if prefix == "grid.":
+            build, cfg = (lambda: RadialGrid(**{"r_max": 40.0, "n": 4096, field: value})), RunConfig(**{field: value})
+        elif prefix == "controller.":
+            build, cfg = (lambda: StepController(**{field: value})), RunConfig(**{field: value})
+        else:
+            build, cfg = (lambda: ProofConstants(**{field: value})), RunConfig(constants={field: value})
+        try:
+            build()
+        except ValueError:
+            with pytest.raises(ConfigError, match="^" + re.escape(prefix)):
+                cfg.validate()
+        else:
+            cfg.validate()
 
     def test_round_trip(self, tmp_path):
         cfg = RunConfig(**{**FAST, "t_span": tuple(FAST["t_span"])})
@@ -295,6 +357,58 @@ class TestCommands:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({**FAST, "n": 100}))
         assert main(["simulate", "--config", str(bad)]) == 2
+
+
+def _simulated_run(tmp_path):
+    run_dir = tmp_path / "run"
+    assert main(["simulate", "--config", str(write_cfg(tmp_path)), "--out", str(run_dir)]) == EXIT_OK
+    return run_dir
+
+
+def _resume_without_manifest(tmp_path):
+    run_dir = _simulated_run(tmp_path)
+    (run_dir / "manifest.json").unlink()
+    return ["simulate", "--config", str(tmp_path / "cfg.json"), "--out", str(run_dir), "--resume"]
+
+
+def _input_file(tmp_path, name, content):
+    path = tmp_path / name
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
+    return str(path)
+
+
+def _instance(tmp_path):
+    return _input_file(tmp_path, "instance.json", synthetic_decomposition(np.random.default_rng(5), 12, 0.2).to_json())
+
+
+BAD_INPUTS = {
+    "resume_without_manifest": _resume_without_manifest,
+    "simulate_unknown_constant": lambda tmp: [
+        "simulate", "--config", str(write_cfg(tmp, constants={"C": 2.0, "D": 1.0})), "--out", str(tmp / "r")],
+    "simulate_theta_string": lambda tmp: [
+        "simulate", "--config", str(write_cfg(tmp, theta="0.1")), "--out", str(tmp / "r")],
+    "select_malformed_json": lambda tmp: ["select", _input_file(tmp, "instance.json", '{"eta": 0.1,')],
+    "select_without_intervals": lambda tmp: ["select", _input_file(tmp, "instance.json", {"eta": 0.1})],
+    "select_unknown_constant": lambda tmp: [
+        "select", _instance(tmp), "--constants", _input_file(tmp, "c.json", {"C": 2.0, "D": 1.0})],
+    "diagnose_missing_constants": lambda tmp: [
+        "diagnose", str(_simulated_run(tmp)), "--constants", str(tmp / "absent.json")],
+    "bounds_C_below_one": lambda tmp: ["bounds", "--E", "1.0", "--constants", _input_file(tmp, "c.json", {"C": 0.5})],
+    "bounds_negative_E": lambda tmp: ["bounds", "--E", "-1"],
+    "bounds_infinite_E": lambda tmp: ["bounds", "--E", "inf"],
+    "bounds_missing_monitor_dir": lambda tmp: ["bounds", "--E", "1.0", "--monitor", str(tmp / "absent")],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_2_with_one_error_line(case, tmp_path, capsys):
+    argv = BAD_INPUTS[case](tmp_path)
+    capsys.readouterr()
+    assert main(argv) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "Traceback" not in err
 
 
 class TestLoadRun:

@@ -114,6 +114,19 @@ class TestStrangStep:
         assert diffs[0] < 1e-14
 
 
+class TestStepController:
+    @pytest.mark.parametrize("field, value", [
+        ("dt_max", 0.0), ("theta", 1.5), ("snapshot_stride", -0.1), ("boundary_mass_tol", -1.0),
+        ("blowup_ceiling", -1.0), ("sobolev_delta", 5.0), ("sobolev_delta", -3.0), ("theta", "0.1"),
+    ])
+    def test_rejects_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must lie in"):
+            StepController(**{field: value})
+
+    def test_accepts_inf_ceilings_and_full_delta(self):
+        StepController(boundary_mass_tol=np.inf, blowup_ceiling=np.inf, sobolev_delta=SC)
+
+
 class TestEvolve:
     def test_zero_data(self, grid_small):
         ctl = StepController(dt_max=0.01, snapshot_stride=0.05)

@@ -1,9 +1,11 @@
 """Partition, classification, selection, and the brute-force oracle."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from snls.evolve import StepController, evolve, free_evolve, linear_trajectory
 from snls.functionals import s_density
@@ -328,3 +330,10 @@ class TestSerialization:
         d = synthetic_decomposition(rng, 30, 0.2)
         d2 = IntervalDecomposition.from_json(d.to_json())
         assert d2.intervals == d.intervals and d2.flags == d.flags and d2.eta == d.eta
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), J=st.integers(1, 80), eta=st.floats(1e-9, 1e3),
+           length_ratio=st.floats(1.0, 1e4), p_exceptional=st.floats(0.0, 1.0), t0=st.floats(-1e3, 1e3))
+    def test_json_text_round_trip_property(self, seed, J, eta, length_ratio, p_exceptional, t0):
+        d = synthetic_decomposition(np.random.default_rng(seed), J, eta, length_ratio, p_exceptional, t0)
+        assert IntervalDecomposition.from_json(json.loads(json.dumps(d.to_json()))) == d
