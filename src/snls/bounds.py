@@ -16,7 +16,7 @@ import numpy as np
 
 from . import functionals as fn
 from .intervals import ProofConstants, eta_of
-from .radial import _FRAME_BLOCK, _fractional_rows, _lp_rows
+from .radial import _block_rows, _fractional_rows, _lp_rows
 
 __all__ = [
     "eta_of",
@@ -112,7 +112,8 @@ def scattering_bound(E: float, C: float) -> SaturatingValue:
     if C < 1:
         raise ValueError(f"C must be >= 1, got {C}")
     e_eff = max(E, 1.0)
-    log_v = math.log(C) + C * e_eff**C
+    with np.errstate(over="ignore"):  # E^C past float64 saturates to inf
+        log_v = math.log(C) + C * float(np.float64(e_eff) ** C)
     return _saturating(log_v)
 
 
@@ -195,7 +196,8 @@ def theorem1_plan(M: float, E0: float, delta: float, constants: ProofConstants) 
     C, Ct, Cp = constants.C, constants.C_tilde, constants.C_prime
     eps = 1.0 / (4.0 * Ct)
 
-    m_for_R0_log = math.log(C / eps) + 2.0 * C * E0**C
+    with np.errstate(over="ignore"):  # E0^C past float64 saturates to inf
+        m_for_R0_log = math.log(C / eps) + 2.0 * C * float(np.float64(E0) ** C)
     m_for_R0, m_over = _sat_exp(m_for_R0_log)
     if m_over:
         log_R0 = math.inf
@@ -297,12 +299,9 @@ def m0_solve(u0_norm: float, constants: ProofConstants, rel_tol: float = 1e-6) -
 
 def _component_series(traj, orders):
     """Per-frame L^(10/3)_x norms of |nabla|^s u for the requested s values."""
-    out = {s: np.empty(traj.times.size) for s in orders}
-    for lo in range(0, traj.times.size, _FRAME_BLOCK):
-        u = traj.frames[lo:lo + _FRAME_BLOCK]
-        for s in orders:
-            out[s][lo:lo + len(u)] = _lp_rows(_fractional_rows(u, traj.grid, s), traj.grid, 10.0 / 3.0)
-    return out
+    g = traj.grid
+    series = _block_rows(traj.frames, lambda u: [_lp_rows(du, g, 10.0 / 3.0) for du in _fractional_rows(u, g, orders)])
+    return dict(zip(orders, series))
 
 
 def bootstrap_monitor(traj, mode: str, params: dict, constants: ProofConstants):

@@ -115,13 +115,16 @@ class TrajectoryFrameWriter:
 
 
 def read_trajectory_frames(path):
-    """Return (grid, times, frames); a truncated final record is dropped."""
+    """Return (grid, times, frames); a truncated final record is dropped, and a corrupt log is a ValueError."""
     buf = Path(path).read_bytes()
     grid = _parse_header(buf)
     dtype = _record_dtype(grid.n)
     count = (len(buf) - _HEADER.size) // dtype.itemsize
     log = np.frombuffer(buf, dtype=dtype, count=count, offset=_HEADER.size)
-    return grid, log["t"].astype(float), log["u"].astype(np.complex128)
+    times, frames = log["t"].astype(float), log["u"].astype(np.complex128)
+    if not (np.isfinite(times).all() and np.isfinite(frames).all() and (np.diff(times) > 0).all()):
+        raise ValueError("corrupt frame log: a non-finite time or sample, or times that do not strictly increase")
+    return grid, times, frames
 
 
 def truncate_trajectory_frames(path, n_frames: int) -> None:

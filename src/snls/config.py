@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import numbers
 from dataclasses import asdict, dataclass, field as dc_field, fields
@@ -21,17 +22,30 @@ SCHEMA_VERSION = 1
 FAMILIES = ("gaussian", "bump", "ring")
 
 
+def _check_initial_data(family, amplitude, width, chirp) -> None:
+    """The initial-data ranges, each written once; the ValueError starts with the field name."""
+    for name, value, ok, rule in (
+        ("family", family, family in FAMILIES, f"be one of {FAMILIES}"),
+        ("amplitude", amplitude, isinstance(amplitude, numbers.Real) and amplitude >= 0, "be a nonnegative number"),
+        ("width", width, isinstance(width, numbers.Real) and width > 0, "be a positive number"),
+        ("chirp", chirp, isinstance(chirp, numbers.Real), "be a number"),
+    ):
+        if not ok:
+            raise ValueError(f"{name} must {rule}, got {value!r}")
+
+
 def initial_field(grid: RadialGrid, family: str, amplitude: float, width: float, chirp: float = 0.0) -> RadialField:
     """Radial initial data: gaussian, compactly supported bump, or ring profile."""
+    _check_initial_data(family, amplitude, width, chirp)
     r = grid.nodes
+    with np.errstate(over="ignore"):  # a width past 1e154 squares to inf (a flat profile) instead of raising
+        two_w2 = 2.0 * np.float64(width) ** 2
     if family == "gaussian":
-        prof = np.exp(-(r**2) / (2.0 * width**2))
+        prof = np.exp(-(r**2) / two_w2)
     elif family == "bump":
         prof = cutoff_profile(r / (2.0 * width))
-    elif family == "ring":
-        prof = (r / width) ** 2 * np.exp(-(r**2) / (2.0 * width**2))
-    else:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    else:  # ring
+        prof = (r / width) ** 2 * np.exp(-(r**2) / two_w2)
     u = amplitude * prof * np.exp(1j * chirp * r**2)
     return RadialField(grid, u.astype(np.complex128))
 
@@ -81,17 +95,13 @@ class RunConfig:
     out_dir: str = "runs/default"
 
     def validate(self) -> "RunConfig":
+        initial_data = functools.partial(_check_initial_data, self.family, self.amplitude, self.width, self.chirp)
         for prefix, build in (("grid.", self.grid), ("controller.", self.controller),
-                              ("constants: ", self.proof_constants)):
+                              ("constants: ", self.proof_constants), ("initial_data.", initial_data)):
             try:
                 build()
             except ValueError as exc:
                 raise ConfigError(f"{prefix}{exc}") from exc
-        _require(self.family in FAMILIES, "initial_data.family", f"must be one of {FAMILIES}")
-        _require(isinstance(self.amplitude, numbers.Real) and self.amplitude >= 0,
-                 "initial_data.amplitude", "must be nonnegative")
-        _require(isinstance(self.width, numbers.Real) and self.width > 0, "initial_data.width", "must be positive")
-        _require(isinstance(self.chirp, numbers.Real), "initial_data.chirp", "must be a number")
         _require(len(self.t_span) == 2 and all(isinstance(t, numbers.Real) for t in self.t_span)
                  and self.t_span[0] < self.t_span[1], "time_span", f"must be an increasing pair, got {self.t_span}")
         _require(self.e_mode in ("measure", "declare"), "e_mode", "must be 'measure' or 'declare'")

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import functionals as fn
 from .radial import (
-    _FRAME_BLOCK, RadialField, RadialGrid, SpectralField, _dst1, _lp_rows, _sobolev2_rows,
-    from_spectral, to_spectral,
+    _FRAME_BLOCK, RadialField, RadialGrid, SpectralField, _block_rows, _dst1, _lp_rows, _sobolev2_rows,
+    _spectral_rows, _volume_rows, from_spectral, to_spectral,
 )
 
 __all__ = [
@@ -37,7 +37,7 @@ S_CRITICAL = fn.S_CRITICAL
 
 
 class StepOverflowError(RuntimeError):
-    """A split step produced non-finite samples; the controller should halve dt."""
+    """Raised by strang_step when a step leaves non-finite samples; no caller catches it (evolve halves dt itself)."""
 
 
 @dataclass(frozen=True)
@@ -95,8 +95,12 @@ class Trajectory:
     def field(self, m: int) -> RadialField:
         return RadialField(self.grid, self.frames[m])
 
+    def nearest_frame(self, t: float) -> int:
+        """Index of the stored frame whose time is closest to t."""
+        return int(np.argmin(np.abs(self.times - t)))
+
     def frame_index(self, t: float) -> int:
-        m = int(np.argmin(np.abs(self.times - t)))
+        m = self.nearest_frame(t)
         if abs(self.times[m] - t) > 1e-9 * max(1.0, abs(t)):
             raise ValueError(f"t = {t} is not a stored frame time")
         return m
@@ -111,14 +115,9 @@ def _propagator(grid: RadialGrid, dt) -> np.ndarray:
     return np.exp(-1j * grid.frequencies**2 * np.asarray(dt, dtype=float)[..., None])
 
 
-def _free_flow_blocks(coeffs: np.ndarray, grid: RadialGrid, dts: np.ndarray):
-    """Yield (lo, samples of e^{i dt L} w for dt in dts[lo:lo+k]), k <= _FRAME_BLOCK.
-
-    coeffs are the sine coefficients of w, transformed once by the caller;
-    each block then costs one inverse transform.
-    """
-    for lo in range(0, dts.size, _FRAME_BLOCK):
-        yield lo, _dst1(coeffs * _propagator(grid, dts[lo:lo + _FRAME_BLOCK])) / grid.nodes
+def _free_flow_rows(dts: np.ndarray, coeffs: np.ndarray, grid: RadialGrid) -> np.ndarray:
+    """Samples of e^{i dt L} w, one row per dt, from the sine coefficients of w."""
+    return _dst1(coeffs * _propagator(grid, dts)) / grid.nodes
 
 
 def free_evolve(field: RadialField, t: float) -> RadialField:
@@ -152,46 +151,31 @@ def strang_step(field: RadialField, dt: float) -> RadialField:
 _DENSITY_KEYS = ("mass", "energy", "s_density", "H_sc_minus", "H_sc", "H_sc_plus1", "boundary_mass", "sup_abs")
 
 
-def _stack(parts: list) -> dict:
-    """Join per-block density dicts into one array per key."""
-    return {k: np.concatenate([p[k] for p in parts]) for k in _DENSITY_KEYS}
+def _frame_stats(u: np.ndarray, grid: RadialGrid, ctl: StepController) -> list:
+    """The cached densities of every row of a raw (k, n) block of frames, one array per key of _DENSITY_KEYS.
 
-
-def _frame_stats(frames: np.ndarray, grid: RadialGrid, ctl: StepController) -> dict:
-    """Densities of every row of a raw (k, n) array of frames, one length-k array per key.
-
-    The one formula for each cached density.  Rows go through in blocks of
-    at most _FRAME_BLOCK, each block with one sine transform for all five
-    spectral norms.
+    The one formula for each cached density; one sine transform serves
+    all five spectral norms.
     """
-    r = grid.nodes
-    outer = r > 0.9 * grid.r_max  # boundary shell watched for domain truncation
     orders = (0.0, 1.0, S_CRITICAL - ctl.sobolev_delta, S_CRITICAL, S_CRITICAL + 1.0)
-    parts = []
-    for lo in range(0, len(frames), _FRAME_BLOCK):
-        u = frames[lo:lo + _FRAME_BLOCK]
-        m, grad2, h_minus, h_sc, h_plus = _sobolev2_rows(u, grid, orders)
-        shell = np.where(outer, np.abs(u * r) ** 2, 0.0)
-        parts.append({
-            "mass": m,
-            "energy": 0.5 * grad2 + 0.125 * _lp_rows(u, grid, 8.0) ** 8,
-            "s_density": fn._s_density_rows(u, grid),
-            "H_sc_minus": np.sqrt(h_minus),
-            "H_sc": np.sqrt(h_sc),
-            "H_sc_plus1": np.sqrt(h_plus),
-            "boundary_mass": 4.0 * np.pi * (grid.dr * shell.sum(axis=-1)),
-            "sup_abs": _lp_rows(u, grid, np.inf),
-        })
-    return _stack(parts)
+    m, grad2, h_minus, h_sc, h_plus = _sobolev2_rows(u, grid, orders)
+    outer = grid.nodes > 0.9 * grid.r_max  # boundary shell watched for domain truncation
+    return [m, fn._energy_rows(u, grid, grad2), fn._s_density_rows(u, grid), np.sqrt(h_minus), np.sqrt(h_sc),
+            np.sqrt(h_plus), _volume_rows(np.where(outer, np.abs(u) ** 2, 0.0), grid), _lp_rows(u, grid, np.inf)]
 
 
-def _trajectory(grid, times, frames, densities: dict, ctl: StepController, provenance: dict,
-                status: str = "ok") -> Trajectory:
-    """Trajectory whose breach flag marks a frame with boundary mass above tol * initial mass."""
+def _trajectory(grid, times, frames, ctl: StepController, provenance: dict, status: str = "ok",
+                stats=None) -> Trajectory:
+    """Trajectory with its densities (evolve's stats rows, else computed here) and the boundary-breach flag.
+
+    The flag marks a frame with boundary mass above tol * initial mass.
+    """
+    frames = np.asarray(frames, dtype=np.complex128)
+    densities = dict(zip(_DENSITY_KEYS, _block_rows(frames, _frame_stats, grid, ctl) if stats is None else stats))
     mass0 = densities["mass"][0] if len(times) else 0.0
     breach = bool(mass0 > 0 and (densities["boundary_mass"] > ctl.boundary_mass_tol * mass0).any())
-    return Trajectory(grid, np.asarray(times, dtype=float), np.asarray(frames, dtype=np.complex128),
-                      densities, provenance=provenance, status=status, boundary_breach=breach)
+    return Trajectory(grid, np.asarray(times, dtype=float), frames, densities, provenance=provenance, status=status,
+                      boundary_breach=breach)
 
 
 def _snapshot_times(t_a: float, t_b: float, stride: float, anchor: float | None = None) -> np.ndarray:
@@ -276,7 +260,7 @@ def evolve(
         frames.append(field.values)
         stats.append(st)
         if on_frame is not None:
-            on_frame(t, field, {k: x[0] for k, x in st.items()})
+            on_frame(t, field, {k: x[0] for k, x in zip(_DENSITY_KEYS, st)})
 
     store(t_a, u0)
     status = "ok"
@@ -339,11 +323,7 @@ def evolve(
         "dt_min": dt_lo if steps else None,
         "dt_max": dt_hi if steps else None,
     }
-    return _trajectory(g, times, np.array(frames), _stack(stats), ctl, prov, status)
-
-
-def _nonlinear_term(values: np.ndarray) -> np.ndarray:
-    return np.abs(values) ** 6 * values
+    return _trajectory(g, times, np.array(frames), ctl, prov, status, np.concatenate(stats, axis=-1))
 
 
 def _windowed_duhamel_coeffs(traj: Trajectory, sel: np.ndarray, t: float) -> np.ndarray:
@@ -357,7 +337,7 @@ def _windowed_duhamel_coeffs(traj: Trajectory, sel: np.ndarray, t: float) -> np.
     acc = np.zeros(g.n, dtype=np.complex128)
     for lo in range(0, sel.size, _FRAME_BLOCK):
         blk = slice(lo, lo + _FRAME_BLOCK)
-        c = _dst1(_nonlinear_term(traj.frames[sel[blk]]) * g.nodes) * _propagator(g, t - times[blk])
+        c = _dst1(fn._nonlinear_term(traj.frames[sel[blk]]) * g.nodes) * _propagator(g, t - times[blk])
         acc += (wts[blk, None] * c).sum(axis=0)
     return acc
 
@@ -385,7 +365,7 @@ def duhamel_residual(traj: Trajectory, t: float, t_base: float | None = None,
         sel = np.arange(m_0, m_t + 1)
         rhs = lin - 1j * _windowed_duhamel_coeffs(traj, sel, t)
     resid = to_spectral(traj.field(m_t)).coeffs - rhs
-    return float(np.sqrt(4.0 * np.pi * g.dr * (np.abs(resid) ** 2).sum()))
+    return float(np.sqrt(_spectral_rows(np.abs(resid) ** 2, g)))
 
 
 def duhamel_tail(traj: Trajectory, window, t: float) -> RadialField:
@@ -447,8 +427,7 @@ def rebuild_trajectory(
     status: str = "ok",
 ) -> Trajectory:
     """Reconstruct a Trajectory (densities recomputed) from stored frames."""
-    frames = np.asarray(frames, dtype=np.complex128)
-    return _trajectory(grid, times, frames, _frame_stats(frames, grid, ctl), ctl, dict(provenance or {}), status)
+    return _trajectory(grid, times, frames, ctl, dict(provenance or {}), status)
 
 
 def linear_trajectory(u0: RadialField, t_span, ctl: StepController) -> Trajectory:
@@ -457,7 +436,5 @@ def linear_trajectory(u0: RadialField, t_span, ctl: StepController) -> Trajector
     if not t_a < t_b:
         raise ValueError(f"need t_a < t_b, got {t_span}")
     snap = np.concatenate(([t_a], _snapshot_times(t_a, t_b, ctl.snapshot_stride)))
-    frames = np.empty((snap.size, u0.grid.n), dtype=np.complex128)
-    for lo, u in _free_flow_blocks(to_spectral(u0).coeffs, u0.grid, snap - t_a):
-        frames[lo:lo + len(u)] = u
-    return _trajectory(u0.grid, snap, frames, _frame_stats(frames, u0.grid, ctl), ctl, {"linear": True})
+    frames = _free_flow_rows(snap - t_a, to_spectral(u0).coeffs, u0.grid)
+    return _trajectory(u0.grid, snap, frames, ctl, {"linear": True})

@@ -11,9 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .radial import (
-    _FRAME_BLOCK, RadialField, _fractional_rows, _lp_rows, lebesgue_norm, radial_integral, sobolev_norm,
-)
+from .radial import RadialField, _block_rows, _fractional_rows, _lp_rows, _sobolev2_rows, _volume_rows
 
 __all__ = [
     "NormReport",
@@ -41,16 +39,9 @@ def cutoff_profile(s: np.ndarray) -> np.ndarray:
     return out
 
 
-def mass(field: RadialField) -> float:
-    """M[u] = int |u|^2 dx."""
-    return float(4.0 * np.pi * radial_integral(field.grid, np.abs(field.w) ** 2))
-
-
-def energy(field: RadialField) -> float:
-    """E[u] = (1/2) int |grad u|^2 dx + (1/8) int |u|^8 dx, gradient spectral (s = 1)."""
-    grad2 = sobolev_norm(field, 1.0) ** 2
-    pot = lebesgue_norm(field, 8.0) ** 8
-    return float(0.5 * grad2 + 0.125 * pot)
+def _energy_rows(u: np.ndarray, grid, grad2: np.ndarray) -> np.ndarray:
+    """E[u] = (1/2) int |grad u|^2 dx + (1/8) int |u|^8 dx of every row of a raw block, given its squared H^1 norms."""
+    return 0.5 * grad2 + 0.125 * _lp_rows(u, grid, 8.0) ** 8
 
 
 def _s_density_rows(u: np.ndarray, grid) -> np.ndarray:
@@ -58,18 +49,38 @@ def _s_density_rows(u: np.ndarray, grid) -> np.ndarray:
     return _lp_rows(u, grid, 15.0) ** 15
 
 
+def _localized_mass_rows(u: np.ndarray, grid, R: float) -> np.ndarray:
+    """M(u; 0, R) = (int |chi(x/R) u|^2 dx)^(1/2) of every row of a raw block, centered cutoff of scale R."""
+    if not (0 < R <= grid.r_max):
+        raise ValueError(f"R must lie in (0, r_max], got {R}")
+    return np.sqrt(_volume_rows((cutoff_profile(grid.nodes / R) * np.abs(u)) ** 2, grid))
+
+
+def _nonlinear_term(u: np.ndarray) -> np.ndarray:
+    """|u|^6 u, elementwise on a raw array."""
+    return np.abs(u) ** 6 * u
+
+
+# mass, energy and s_density are one-row calls of the formulas the trajectory caches per frame
+def mass(field: RadialField) -> float:
+    """M[u] = int |u|^2 dx, by Plancherel."""
+    return float(_sobolev2_rows(field.values[None], field.grid, (0.0,))[0][0])
+
+
+def energy(field: RadialField) -> float:
+    """E[u] = (1/2) int |grad u|^2 dx + (1/8) int |u|^8 dx, gradient spectral (s = 1)."""
+    u = field.values[None]
+    return float(_energy_rows(u, field.grid, _sobolev2_rows(u, field.grid, (1.0,))[0])[0])
+
+
 def s_density(field: RadialField) -> float:
     """||u||_{L^15_x}^15, the space-time partition integrand at one time."""
-    return float(_s_density_rows(field.values, field.grid))
+    return float(_s_density_rows(field.values[None], field.grid)[0])
 
 
 def localized_mass(field: RadialField, R: float) -> float:
     """M(u; 0, R) = (int |chi(x/R) u|^2 dx)^(1/2), centered cutoff of scale R."""
-    if not (0 < R <= field.grid.r_max):
-        raise ValueError(f"R must lie in (0, r_max], got {R}")
-    chi = cutoff_profile(field.grid.nodes / R)
-    val = 4.0 * np.pi * radial_integral(field.grid, (chi * np.abs(field.w)) ** 2)
-    return float(np.sqrt(val))
+    return float(_localized_mass_rows(field.values, field.grid, R))
 
 
 def localized_mass_rate(traj, t: float, R: float) -> float:
@@ -84,14 +95,13 @@ def localized_mass_rate(traj, t: float, R: float) -> float:
         raise ValueError("need at least two frames")
     lo = max(0, m - 1)
     hi = min(len(times) - 1, m + 1)
-    a = localized_mass(traj.field(lo), R)
-    b = localized_mass(traj.field(hi), R)
+    a, b = _localized_mass_rows(traj.frames[[lo, hi]], traj.grid, R)
     return float((b - a) / (times[hi] - times[lo]))
 
 
-def _frames_in(times: np.ndarray, t_a: float, t_b: float) -> np.ndarray:
-    """Indices of the frame times inside [t_a, t_b], with a 1e-12 tolerance at both ends."""
-    return np.flatnonzero((times >= t_a - 1e-12) & (times <= t_b + 1e-12))
+def _frames_in(times: np.ndarray, t_a: float, t_b: float) -> slice:
+    """The frames whose times lie inside [t_a, t_b], with a 1e-12 tolerance at both ends."""
+    return slice(int(np.searchsorted(times, t_a - 1e-12, "left")), int(np.searchsorted(times, t_b + 1e-12, "right")))
 
 
 def morawetz_flux(traj, interval, R_cut: float) -> float:
@@ -99,15 +109,13 @@ def morawetz_flux(traj, interval, R_cut: float) -> float:
     if not (0 < R_cut <= traj.grid.r_max):
         raise ValueError(f"R_cut must lie in (0, r_max], got {R_cut}")
     sel = _frames_in(traj.times, *interval)
-    if sel.size < 2:
+    times = traj.times[sel]
+    if times.size < 2:
         raise ValueError("interval must contain at least two frames")
     r = traj.grid.nodes
-    inside = r < R_cut
-    vals = np.empty(sel.size)
-    for out_i, m in enumerate(sel):
-        u8 = np.abs(traj.field(m).values) ** 8
-        vals[out_i] = 4.0 * np.pi * radial_integral(traj.grid, np.where(inside, u8 * r, 0.0))
-    return float(np.trapezoid(vals, traj.times[sel]))
+    weight = np.where(r < R_cut, 1.0 / r, 0.0)
+    vals = _block_rows(traj.frames[sel], lambda u: _volume_rows(np.abs(u) ** 8 * weight, traj.grid))
+    return float(np.trapezoid(vals, times))
 
 
 @dataclass(frozen=True)
@@ -140,6 +148,12 @@ def _lqt(values: np.ndarray, times: np.ndarray, q: float) -> float:
     return float(np.trapezoid(values**q, times) ** (1.0 / q))
 
 
+def _wn_rows(u: np.ndarray, grid) -> list:
+    """L^{10/3}_x and L^{90/41}_x norms of |nabla|^sc u and L^{10/7}_x norm of |nabla|^sc (|u|^6 u), every row."""
+    (du,), (dn,) = (_fractional_rows(v, grid, (S_CRITICAL,)) for v in (u, _nonlinear_term(u)))
+    return [_lp_rows(du, grid, 10.0 / 3.0), _lp_rows(du, grid, 90.0 / 41.0), _lp_rows(dn, grid, 10.0 / 7.0)]
+
+
 def space_time_norms(traj, interval) -> NormReport:
     """S, W, N norms over the interval, all from the same stored frames.
 
@@ -149,21 +163,11 @@ def space_time_norms(traj, interval) -> NormReport:
     densities; only W and N transform frames, in blocks.
     """
     sel = _frames_in(traj.times, *interval)
-    if sel.size < 2:
-        raise ValueError("interval must contain at least two frames")
     times = traj.times[sel]
+    if times.size < 2:
+        raise ValueError("interval must contain at least two frames")
     d = {k: traj.densities[k][sel] for k in ("s_density", "H_sc", "mass", "energy")}
-    g = traj.grid
-    w_a = np.empty(sel.size)  # ||  |nabla|^sc u ||_{L^{10/3}_x}
-    w_b = np.empty(sel.size)  # ||  |nabla|^sc u ||_{L^{90/41}_x}
-    n_v = np.empty(sel.size)  # ||  |nabla|^sc (|u|^6 u) ||_{L^{10/7}_x}
-    for lo in range(0, sel.size, _FRAME_BLOCK):
-        blk = slice(lo, lo + _FRAME_BLOCK)
-        u = traj.frames[sel[blk]]
-        du = _fractional_rows(u, g, S_CRITICAL)
-        w_a[blk] = _lp_rows(du, g, 10.0 / 3.0)
-        w_b[blk] = _lp_rows(du, g, 90.0 / 41.0)
-        n_v[blk] = _lp_rows(_fractional_rows(np.abs(u) ** 6 * u, g, S_CRITICAL), g, 10.0 / 7.0)
+    w_a, w_b, n_v = _block_rows(traj.frames[sel], _wn_rows, traj.grid)
     return NormReport(
         interval=(float(interval[0]), float(interval[1])),
         S=float(np.trapezoid(d["s_density"], times) ** (1.0 / 15.0)),

@@ -16,8 +16,8 @@ from dataclasses import asdict, dataclass, field as dc_field, replace
 import numpy as np
 
 from . import functionals as fn
-from .evolve import Trajectory, _free_flow_blocks
-from .radial import sobolev_norm, to_spectral
+from .evolve import Trajectory, _free_flow_rows
+from .radial import _block_rows, _hardy_mass_rows, to_spectral
 
 __all__ = [
     "eta_of",
@@ -100,8 +100,9 @@ class ProofConstants:
         return self.C_tilde * eta ** (-self.C)
 
     def exceptional_ceiling(self, E: float) -> float:
-        """C max(E, 1)^15 / eta^C1, the ceiling on the number of exceptional intervals."""
-        return self.C * max(E, 1.0) ** 15 / self.eta(E) ** self.C1
+        """C max(E, 1)^15 / eta^C1, the ceiling on the number of exceptional intervals; inf past float64."""
+        with np.errstate(over="ignore", divide="ignore"):  # E^15 overflows, or eta^C1 underflows to 0
+            return float(self.C * np.float64(max(E, 1.0)) ** 15 / self.eta(E) ** self.C1)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -248,10 +249,14 @@ def linear_density_series(traj: Trajectory, anchor_index: int) -> np.ndarray:
     one inverse transform.
     """
     coeffs = to_spectral(traj.field(anchor_index)).coeffs
-    out = np.empty(traj.times.size)
-    for lo, u in _free_flow_blocks(coeffs, traj.grid, traj.times - traj.times[anchor_index]):
-        out[lo:lo + len(u)] = fn._s_density_rows(u, traj.grid)
-    return out
+    return _block_rows(traj.times - traj.times[anchor_index],
+                       lambda dts: fn._s_density_rows(_free_flow_rows(dts, coeffs, traj.grid), traj.grid))
+
+
+def _free_flow_masses(traj: Trajectory, anchor_index: int, a, b) -> np.ndarray:
+    """int_a^b ||e^{i(t - t_anchor) L} u(t_anchor)||_L15^15 dt over intervals [a, b] (arrays or scalars)."""
+    cum = fn.cumulative_series_integral(traj.times, linear_density_series(traj, anchor_index))
+    return np.interp(b, traj.times, cum) - np.interp(a, traj.times, cum)
 
 
 def classify(decomp: IntervalDecomposition, traj: Trajectory, constants: ProofConstants) -> IntervalDecomposition:
@@ -262,11 +267,7 @@ def classify(decomp: IntervalDecomposition, traj: Trajectory, constants: ProofCo
     The tail interval keeps its flag and is excluded from the statistics.
     """
     a, b = np.array(decomp.intervals).T
-    lin = []  # the mass of each anchor's flow over every interval
-    for t_anchor in decomp.span:
-        d = linear_density_series(traj, traj.frame_index(t_anchor))
-        cum = fn.cumulative_series_integral(traj.times, d)
-        lin.append((np.interp(b, traj.times, cum) - np.interp(a, traj.times, cum)).tolist())
+    lin = [_free_flow_masses(traj, traj.frame_index(t), a, b).tolist() for t in decomp.span]
     threshold = decomp.eta ** constants.C1
     flags = [
         TAIL if flag == TAIL else EXCEPTIONAL if max(im, ip) > threshold else UNEXCEPTIONAL
@@ -306,11 +307,12 @@ def concentration_scan(traj: Trajectory, decomp: IntervalDecomposition, constant
             certs.append(ConcentrationCertificate(j, radius, reference, np.nan, np.nan, False))
             continue
         sel = fn._frames_in(traj.times, a, b)
-        if sel.size == 0:
-            sel = np.array([int(np.argmin(np.abs(traj.times - 0.5 * (a + b))))])
-        ratios = [fn.localized_mass(traj.field(m), radius) / reference for m in sel]
+        if sel.start == sel.stop:  # no stored frame inside: the one nearest the midpoint
+            m = traj.nearest_frame(0.5 * (a + b))
+            sel = slice(m, m + 1)
+        ratios = _block_rows(traj.frames[sel], fn._localized_mass_rows, traj.grid, radius) / reference
         k = int(np.argmin(ratios))
-        certs.append(ConcentrationCertificate(j, radius, reference, float(ratios[k]), float(traj.times[sel[k]]), True))
+        certs.append(ConcentrationCertificate(j, radius, reference, float(ratios[k]), float(traj.times[sel][k]), True))
     return certs
 
 
@@ -572,7 +574,7 @@ def mass_bracketing_audit(
     number of unexceptional intervals.
     """
     eta = decomp.eta
-    m = int(np.argmin(np.abs(traj.times - sel.t_star)))
+    m = traj.nearest_frame(sel.t_star)
     t_frame = float(traj.times[m])
     substituted = abs(t_frame - sel.t_star) > 1e-9 * max(1.0, abs(sel.t_star))
     u_star = traj.field(m)
@@ -584,11 +586,8 @@ def mass_bracketing_audit(
     for k, j in enumerate(sel.chain):
         L = float(lengths[j])
         radius = constants.dist_cap(eta) * np.sqrt(L)
-        resolvable = radius <= traj.grid.r_max
-        if resolvable:
-            meas = fn.localized_mass(u_star, radius)
-        else:
-            meas = np.nan
+        resolvable = bool(radius <= traj.grid.r_max)  # a NumPy bool would not go into diagnose.json
+        meas = fn.localized_mass(u_star, radius) if resolvable else np.nan
         ref = L ** (7.0 / 12.0)
         holds, lhs, rhs = dyadic_tail_check(chain_lengths, k, N)
         steps.append(
@@ -606,10 +605,8 @@ def mass_bracketing_audit(
             )
         )
 
-    g = traj.grid
-    w2 = np.abs(u_star.w) ** 2
-    hardy_lhs = float(4.0 * np.pi * fn.radial_integral(g, w2 / g.nodes ** (7.0 / 3.0)))
-    hardy_rhs = float(eta ** (-7.0 * constants.C / 3.0) * sobolev_norm(u_star, fn.S_CRITICAL) ** 2)
+    hardy_lhs = float(_hardy_mass_rows(u_star.values, traj.grid, fn.S_CRITICAL))
+    hardy_rhs = float(eta ** (-7.0 * constants.C / 3.0) * traj.densities["H_sc"][m] ** 2)
     k_cap = constants.dist_cap(eta)
     with np.errstate(over="ignore"):
         ceiling = float(np.exp(min(k_cap, 700.0)))
@@ -636,13 +633,7 @@ def linear_flow_floor(traj: Trajectory, decomp: IntervalDecomposition, j: int) -
     a, b = decomp.intervals[j]
     if decomp.masses[j] < decomp.eta / 2.0:
         raise ValueError(f"interval {j} carries mass {decomp.masses[j]} < eta/2")
-    out = []
-    for t_anchor in (a, b):
-        m = int(np.argmin(np.abs(traj.times - t_anchor)))
-        d = linear_density_series(traj, m)
-        cum = fn.cumulative_series_integral(traj.times, d)
-        out.append(fn.series_integral_between(traj.times, cum, a, b) / decomp.eta)
-    return float(out[0]), float(out[1])
+    return tuple(float(_free_flow_masses(traj, traj.nearest_frame(t), a, b) / decomp.eta) for t in (a, b))
 
 
 def synthetic_decomposition(

@@ -16,9 +16,10 @@ Normalization (fixed once, used everywhere):
   sobolev_norm(u, s)^2 = 4*pi*dr*sum rho_k^(2s)|c_k|^2,
   so s = 0 reproduces the L2 norm with constant exactly 1.
 
-Radial integrals use the closed trapezoid rule on [0, r_max] with the
-implied zero boundary values; for smooth decaying radial integrands this
-is spectrally accurate (all odd derivatives vanish at both endpoints).
+Volume integrals int_{R^3} f dx of radial f use one quadrature,
+4*pi*dr*sum f_i r_i^2: the closed trapezoid rule on [0, r_max] with the
+implied zero boundary values, spectrally accurate for smooth decaying
+radial integrands (all odd derivatives vanish at both endpoints).
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ __all__ = [
     "lebesgue_norm",
     "rescale",
     "hardy_ratio",
-    "radial_integral",
 ]
 
 S_MAX = 4.0  # validity range of the fractional multiplier rho^s
@@ -145,6 +145,16 @@ class SpectralField:
 _FRAME_BLOCK = 16  # rows per raw block in every loop over stored frames
 
 
+def _block_rows(frames: np.ndarray, rows, *args) -> np.ndarray:
+    """Every per-frame series over stored frames: rows(block, *args) on raw blocks of at most _FRAME_BLOCK rows.
+
+    rows maps a (k, n) block to k values, or to a list of such arrays; the
+    results are joined along the last axis.
+    """
+    return np.concatenate([rows(frames[lo:lo + _FRAME_BLOCK], *args) for lo in range(0, len(frames), _FRAME_BLOCK)],
+                          axis=-1)
+
+
 def _dst1(x: np.ndarray) -> np.ndarray:
     """Orthonormal DST-I along the last axis of a raw real or complex array; its own inverse.
 
@@ -155,10 +165,21 @@ def _dst1(x: np.ndarray) -> np.ndarray:
     return sfft.dst(x, type=1, norm="ortho")
 
 
-def _fractional_rows(u: np.ndarray, grid: RadialGrid, s: float) -> np.ndarray:
-    """|nabla|^s of every row of a raw (..., n) block of samples: rho_k^s on the sine coefficients."""
+def _volume_rows(f: np.ndarray, grid: RadialGrid) -> np.ndarray:
+    """int_{R^3} f dx of every row of a raw (..., n) block of radial samples: 4*pi*(dr*sum f_i r_i^2)."""
+    return 4.0 * np.pi * (grid.dr * (f * grid.nodes**2).sum(axis=-1))
+
+
+def _spectral_rows(c2: np.ndarray, grid: RadialGrid) -> np.ndarray:
+    """4*pi*dr*sum along the last axis: int |u|^2 dx by Plancherel when c2 = |c_k|^2."""
+    return 4.0 * np.pi * grid.dr * c2.sum(axis=-1)
+
+
+def _fractional_rows(u: np.ndarray, grid: RadialGrid, orders) -> list:
+    """|nabla|^s (rho_k^s on the sine coefficients) of every row of a raw block, per order; one forward transform."""
     r = grid.nodes
-    return _dst1(_dst1(u * r) * grid.frequencies**s) / r
+    c = _dst1(u * r)
+    return [_dst1(c * grid.frequencies**s) / r for s in orders]
 
 
 def _sobolev2_rows(u: np.ndarray, grid: RadialGrid, orders) -> list:
@@ -169,16 +190,19 @@ def _sobolev2_rows(u: np.ndarray, grid: RadialGrid, orders) -> list:
     """
     c2 = np.abs(_dst1(u * grid.nodes)) ** 2
     rho = grid.frequencies
-    scale = 4.0 * np.pi * grid.dr
-    return [scale * (c2 if s == 0.0 else rho ** (2.0 * s) * c2).sum(axis=-1) for s in orders]
+    return [_spectral_rows(c2 if s == 0.0 else rho ** (2.0 * s) * c2, grid) for s in orders]
 
 
 def _lp_rows(u: np.ndarray, grid: RadialGrid, p: float) -> np.ndarray:
     """L^p(R^3) norm of every row of a raw block; p = inf gives the grid max of |u|."""
     if p == np.inf:
         return np.abs(u).max(axis=-1)
-    integral = grid.dr * (np.abs(u) ** p * grid.nodes**2).sum(axis=-1)
-    return (4.0 * np.pi * integral) ** (1.0 / p)
+    return _volume_rows(np.abs(u) ** p, grid) ** (1.0 / p)
+
+
+def _hardy_mass_rows(u: np.ndarray, grid: RadialGrid, alpha: float) -> np.ndarray:
+    """int |u|^2 / |x|^(2 alpha) dx of every row of a raw block: the Hardy-weighted mass."""
+    return _volume_rows(np.abs(u) ** 2 / grid.nodes ** (2.0 * alpha), grid)
 
 
 def _require_finite(field: RadialField) -> None:
@@ -213,7 +237,7 @@ def fractional_apply(field: RadialField, s: float) -> RadialField:
     if s == 0.0:
         return field
     _require_finite(field)
-    return RadialField(field.grid, _fractional_rows(field.values, field.grid, s))
+    return RadialField(field.grid, _fractional_rows(field.values, field.grid, (s,))[0])
 
 
 def sobolev_norm(field: RadialField, s: float) -> float:
@@ -221,19 +245,6 @@ def sobolev_norm(field: RadialField, s: float) -> float:
     _check_s(s)
     _require_finite(field)
     return float(np.sqrt(_sobolev2_rows(field.values, field.grid, (s,))[0]))
-
-
-def radial_integral(grid: RadialGrid, samples: np.ndarray) -> float:
-    """int_0^rmax g(r) dr from interior samples, implied zero boundary values.
-
-    Closed trapezoid; with the implied zeros at both endpoints this is
-    dr * sum(samples).  The grid has n+1 subintervals, odd for n = 2^k and
-    even for n = 2^k - 1; the trapezoid rule is used for every n, because
-    it makes the discrete Plancherel identity exact.
-    """
-    if samples.shape != (grid.n,):
-        raise ValueError("samples must live on the interior nodes")
-    return float(grid.dr * np.real(samples).sum())
 
 
 def lebesgue_norm(field: RadialField, p: float) -> float:
@@ -280,9 +291,8 @@ def hardy_ratio(field: RadialField, alpha: float) -> float:
     """||u / r^alpha||_L2 / ||  |nabla|^alpha u ||_L2 for alpha in [0, 3/2)."""
     if not (0.0 <= alpha < 1.5):
         raise ValueError(f"alpha must lie in [0, 3/2), got {alpha}")
-    g = field.grid
-    w2 = np.abs(field.w) ** 2
-    if not w2.any():
+    rhs = sobolev_norm(field, alpha)
+    lhs2 = _hardy_mass_rows(field.values, field.grid, alpha)
+    if not lhs2 > 0:
         raise ValueError("hardy_ratio is undefined for the zero field")
-    lhs = np.sqrt(4.0 * np.pi * radial_integral(g, w2 / g.nodes ** (2.0 * alpha)))
-    return float(lhs / sobolev_norm(field, alpha))
+    return float(np.sqrt(lhs2) / rhs)

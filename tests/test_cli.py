@@ -17,7 +17,7 @@ from snls.checkpoints import (
 )
 from snls import intervals
 from snls.cli import EXIT_BLOWUP, EXIT_CONFIG, EXIT_OK, diagnose_trajectory, load_run, main, run_simulation
-from snls.config import ConfigError, RunConfig
+from snls.config import FAMILIES, ConfigError, RunConfig, initial_field
 from snls.evolve import StepController
 from snls.intervals import IntervalDecomposition, ProofConstants, UNEXCEPTIONAL, synthetic_decomposition
 from snls.radial import RadialGrid
@@ -87,24 +87,32 @@ class TestConfig:
     GRID_N = st.one_of(st.sampled_from([0, -1, 7, 8, 100, 1023, 1024, 4095, 4096]),
                        st.integers(-(2**20), 2**20), NUMBERS)
 
+    FAMILY = st.one_of(st.sampled_from([*FAMILIES, "soliton", "", "Gaussian"]), st.text(max_size=8), NUMBERS)
+    INITIAL_DATA = {"family": "gaussian", "amplitude": 1.0, "width": 1.0, "chirp": 0.0}
+
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     @pytest.mark.parametrize("prefix, field", [
         ("grid.", "n"), ("grid.", "r_max"),
         *(("controller.", f) for f in StepController.__dataclass_fields__),
         *(("constants: ", f) for f in ProofConstants.__dataclass_fields__),
+        *(("initial_data.", f) for f in INITIAL_DATA),
     ])
     def test_each_rule_has_one_owner(self, prefix, field, data):
         """RunConfig rejects a value exactly when the component that owns the field does."""
-        value = data.draw(self.GRID_N if field == "n" else self.NUMBERS)
+        value = data.draw({"n": self.GRID_N, "family": self.FAMILY}.get(field, self.NUMBERS))
         if prefix == "grid.":
             build, cfg = (lambda: RadialGrid(**{"r_max": 40.0, "n": 4096, field: value})), RunConfig(**{field: value})
         elif prefix == "controller.":
             build, cfg = (lambda: StepController(**{field: value})), RunConfig(**{field: value})
+        elif prefix == "initial_data.":
+            args = {**self.INITIAL_DATA, field: value}
+            build, cfg = (lambda: initial_field(RadialGrid(20.0, 15), **args)), RunConfig(**{field: value})
         else:
             build, cfg = (lambda: ProofConstants(**{field: value})), RunConfig(constants={field: value})
         try:
-            build()
+            with np.errstate(all="ignore"):  # an infinite amplitude or chirp gives non-finite samples
+                build()
         except ValueError:
             with pytest.raises(ConfigError, match="^" + re.escape(prefix)):
                 cfg.validate()
@@ -377,6 +385,17 @@ def _input_file(tmp_path, name, content):
     return str(path)
 
 
+def _corrupt_frame_log(tmp_path, field, record, value):
+    """A simulated run whose frame log holds value in one record's time or first sample."""
+    run_dir = _simulated_run(tmp_path)
+    _, _, frames = read_trajectory_frames(run_dir / "frames.snls")
+    offset = TestFrameLog.HEADER + record * (8 + 16 * frames.shape[1]) + (0 if field == "t" else 8)
+    with open(run_dir / "frames.snls", "r+b") as f:
+        f.seek(offset)
+        f.write(struct.pack("<d", value))
+    return ["diagnose", str(run_dir)]
+
+
 def _instance(tmp_path):
     return _input_file(tmp_path, "instance.json", synthetic_decomposition(np.random.default_rng(5), 12, 0.2).to_json())
 
@@ -397,6 +416,8 @@ BAD_INPUTS = {
     "bounds_negative_E": lambda tmp: ["bounds", "--E", "-1"],
     "bounds_infinite_E": lambda tmp: ["bounds", "--E", "inf"],
     "bounds_missing_monitor_dir": lambda tmp: ["bounds", "--E", "1.0", "--monitor", str(tmp / "absent")],
+    "diagnose_frame_log_nan_sample": lambda tmp: _corrupt_frame_log(tmp, "u", 3, math.nan),
+    "diagnose_frame_log_times_not_increasing": lambda tmp: _corrupt_frame_log(tmp, "t", 4, 0.0),
 }
 
 
@@ -409,6 +430,14 @@ def test_bad_input_exits_2_with_one_error_line(case, tmp_path, capsys):
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("E", ["1e21", "1e160", "1.7e308"])
+def test_bounds_saturate_at_huge_E(E, capsys):
+    # exp(C E^C), E0^C and C E^15 / eta^C1 overflow float64 here; each reads inf instead of raising
+    assert main(["bounds", "--E", E]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["exceptional_ceiling"] == report["scattering_bound"] == report["plan"]["R0"] == math.inf
 
 
 class TestLoadRun:

@@ -44,6 +44,16 @@ class TestMassEnergy:
     def test_gaussian_mass(self, grid_desk):
         assert abs(mass(gaussian_field(grid_desk)) - np.pi**1.5) < 1e-8
 
+    def test_scalars_equal_cached_densities(self, grid_small):
+        # mass, energy and s_density are one-row calls of the formulas the trajectory caches
+        ctl = StepController(dt_max=0.005, snapshot_stride=0.02)
+        traj = evolve(gaussian_field(grid_small, amplitude=1.3, chirp=0.1), (0.0, 0.4), ctl)
+        assert traj.times.size == 21
+        for m in range(traj.times.size):
+            u = traj.field(m)
+            for name, scalar in (("mass", mass), ("energy", energy), ("s_density", s_density)):
+                assert scalar(u) == traj.densities[name][m], (name, m)
+
     def test_gauge_invariance(self, grid_small):
         rng = np.random.default_rng(2)
         f = random_smooth_field(grid_small, rng)
@@ -114,6 +124,20 @@ class TestMorawetz:
         ctl = StepController(snapshot_stride=0.05)
         traj = linear_trajectory(RadialField.zero(grid_small), (0.0, 0.4), ctl)
         assert morawetz_flux(traj, (0.0, 0.4), 5.0) == 0.0
+
+    def test_block_flux_matches_per_frame_loop(self, grid_small):
+        # 21 frames: one block of 16 and a short one, against a frame-at-a-time quadrature
+        ctl = StepController(dt_max=0.005, snapshot_stride=0.02)
+        traj = evolve(gaussian_field(grid_small, amplitude=1.3), (0.0, 0.4), ctl)
+        assert traj.times.size == 21
+        g, R_cut = traj.grid, 3.0
+        r = g.nodes
+        for interval in ((0.0, 0.4), (0.04, 0.38)):
+            sel = [m for m, t in enumerate(traj.times) if interval[0] - 1e-12 <= t <= interval[1] + 1e-12]
+            vals = [4.0 * np.pi * g.dr * np.sum(np.where(r < R_cut, np.abs(traj.frames[m]) ** 8 * r, 0.0))
+                    for m in sel]
+            expect = np.trapezoid(vals, traj.times[sel])
+            assert abs(morawetz_flux(traj, interval, R_cut) - expect) <= 1e-13 * expect
 
     def test_additive_over_adjacent(self, grid_small):
         rng = np.random.default_rng(3)

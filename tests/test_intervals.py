@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from snls.evolve import StepController, evolve, free_evolve, linear_trajectory
-from snls.functionals import s_density
+from snls.functionals import cumulative_series_integral, cutoff_profile, s_density, series_integral_between
 from snls.intervals import (
     EXCEPTIONAL,
     TAIL,
@@ -22,6 +22,7 @@ from snls.intervals import (
     dyadic_tail_check,
     linear_density_series,
     linear_flow_floor,
+    mass_bracketing_audit,
     partition_by_eta,
     partition_trajectory,
     recursive_select,
@@ -79,6 +80,31 @@ class TestPartition:
                     assert m < eta
             # covering, consecutive
             assert d.intervals[0][0] == 0.0 and abs(d.intervals[-1][1] - 5.0) < 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        steps=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=40),
+        data=st.data(),
+        quanta=st.floats(0.3, 40.0),
+    )
+    def test_zero_stretches_property(self, steps, data, quanta):
+        # densities with runs of zeros, where the cumulative integral is flat
+        times = np.concatenate(([0.0], np.cumsum(steps)))
+        density = np.array(data.draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+                                              min_size=times.size, max_size=times.size)))
+        total = float(np.trapezoid(density, times))
+        eta = total / quanta if total > 0 else 1.0
+        d = partition_by_eta(times, density, eta)
+        cuts = [a for a, _ in d.intervals] + [d.intervals[-1][1]]
+        assert all(a < b for a, b in zip(cuts, cuts[1:]))
+        assert cuts[0] == times[0] and cuts[-1] == times[-1]
+        for m, f in zip(d.masses, d.flags):
+            if f != TAIL:
+                assert eta * (1 - 1e-9) <= m <= 2 * eta * (1 + 1e-9)
+        assert abs(sum(d.masses) - total) <= 1e-9 * max(total, eta)
+        cum = cumulative_series_integral(times, density)
+        for (a, b), m in zip(d.intervals, d.masses):
+            assert abs(series_integral_between(times, cum, a, b) - m) <= 1e-9 * max(total, eta)
 
     def test_rejects_negative_density(self):
         with pytest.raises(ValueError):
@@ -291,6 +317,30 @@ class TestConcentrationScan:
         certs = concentration_scan(traj, d, ProofConstants(C=4.0))
         assert len(certs) == 1 and not certs[0].resolvable
 
+    def test_block_scan_matches_per_frame_loop(self, grid_small):
+        # intervals holding 30 frames (two blocks), 2 frames, and none (the midpoint's nearest frame is used)
+        ctl = StepController(dt_max=0.005, snapshot_stride=0.01)
+        traj = evolve(gaussian_field(grid_small, amplitude=1.3), (0.0, 0.4), ctl)
+        intervals = ((0.0, 0.295), (0.295, 0.3125), (0.3125, 0.3185), (0.3185, 0.4))
+        d = IntervalDecomposition(intervals, (0.5,) * 4, 0.5, (UNEXCEPTIONAL,) * 4, classified=True)
+        constants = ProofConstants(C=2.0)
+        certs = concentration_scan(traj, d, constants)
+        g, t = traj.grid, traj.times
+        r = g.nodes
+        assert [sum(a - 1e-12 <= tm <= b + 1e-12 for tm in t) for a, b in intervals][:3] == [30, 2, 0]
+        for (a, b), cert in zip(intervals, certs):
+            L = b - a
+            radius = constants.C * 0.5 ** -constants.C * np.sqrt(L)
+            reference = 0.5**constants.C * L ** (7.0 / 12.0)
+            sel = [m for m in range(t.size) if a - 1e-12 <= t[m] <= b + 1e-12] or [int(np.argmin(abs(t - (a + b) / 2)))]
+            chi = cutoff_profile(r / radius)
+            ratios = [np.sqrt(4.0 * np.pi * g.dr * np.sum((chi * np.abs(traj.frames[m]) * r) ** 2)) / reference
+                      for m in sel]
+            k = int(np.argmin(ratios))
+            assert cert.resolvable and cert.radius == radius and cert.reference == reference
+            assert abs(cert.min_ratio - ratios[k]) <= 1e-13 * ratios[k]
+            assert cert.t_min == t[sel[k]]
+
     def test_positive_ratios_on_designated_intervals(self, grid_small):
         # moderate-amplitude defocusing run; the near-peak intervals are scanned
         ctl = StepController(dt_max=0.002, snapshot_stride=0.01)
@@ -302,6 +352,24 @@ class TestConcentrationScan:
         certs = concentration_scan(traj, d, ProofConstants(C=1.0))
         assert certs and all(c.resolvable for c in certs)
         assert all(c.min_ratio > 0 for c in certs)
+
+
+class TestMassBracketingAudit:
+    def test_report_goes_into_json(self, grid_small):
+        # diagnose.json carries the report, so every field must be a plain JSON value
+        ctl = StepController(dt_max=0.002, snapshot_stride=0.01)
+        traj = evolve(gaussian_field(grid_small, amplitude=1.5), (0.0, 0.5), ctl)
+        total = np.trapezoid(traj.densities["s_density"], traj.times)
+        decomp = partition_trajectory(traj, total / 12.0)
+        flags = tuple(UNEXCEPTIONAL if f != TAIL else TAIL for f in decomp.flags)
+        d = IntervalDecomposition(decomp.intervals, decomp.masses, 0.3, flags, classified=True)
+        constants = ProofConstants(C=1.0)
+        report = mass_bracketing_audit(traj, d, recursive_select(d, constants), constants)
+        assert report.steps and all(type(s.resolvable) is bool for s in report.steps)
+        json.dumps(report.to_json())
+        g, u = traj.grid, traj.frames[traj.nearest_frame(report.t_star)]
+        hardy_lhs = 4.0 * np.pi * g.dr * np.sum(np.abs(g.nodes * u) ** 2 / g.nodes ** (7.0 / 3.0))
+        assert abs(report.hardy_lhs - hardy_lhs) <= 1e-13 * hardy_lhs
 
 
 class TestLinearFlowFloor:
