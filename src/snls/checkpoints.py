@@ -8,7 +8,9 @@ A trajectory file reuses the same header followed by frame records, each
 
 Writers are crash-safe: whole-file writes go through a temp file plus
 rename; the frame log is append-only and the reader drops a truncated
-final record.
+final record.  The reader maps the intact records read-only, so a loaded
+trajectory holds its frames once, in the page cache; a fresh log is
+therefore written to a new file, never over one that may still be mapped.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .radial import RadialField, RadialGrid
+from .radial import _FRAME_BLOCK, RadialField, RadialGrid
 
 __all__ = [
     "write_field",
@@ -89,6 +91,9 @@ class TrajectoryFrameWriter:
         self.grid = grid
         self._record = np.zeros((), dtype=_record_dtype(grid.n))
         mode = "ab" if append and Path(path).exists() else "wb"
+        if mode == "wb":
+            # a new inode: truncating the old one in place would pull the pages from under a live mapping (SIGBUS)
+            Path(path).unlink(missing_ok=True)
         self._f = open(path, mode)
         if mode == "wb":
             self._f.write(_header_bytes(grid))
@@ -114,22 +119,38 @@ class TrajectoryFrameWriter:
         self.close()
 
 
+def _read_header(path) -> RadialGrid:
+    with open(path, "rb") as f:
+        return _parse_header(f.read(_HEADER.size))
+
+
 def read_trajectory_frames(path):
-    """Return (grid, times, frames); a truncated final record is dropped, and a corrupt log is a ValueError."""
-    buf = Path(path).read_bytes()
-    grid = _parse_header(buf)
+    """Return (grid, times, frames); a truncated final record is dropped, and a corrupt log is a ValueError.
+
+    frames is a read-only view of the mapped file (rows 8 + 16n bytes
+    apart), times a copy.
+    """
+    grid = _read_header(path)
     dtype = _record_dtype(grid.n)
-    count = (len(buf) - _HEADER.size) // dtype.itemsize
-    log = np.frombuffer(buf, dtype=dtype, count=count, offset=_HEADER.size)
-    times, frames = log["t"].astype(float), log["u"].astype(np.complex128)
-    if not (np.isfinite(times).all() and np.isfinite(frames).all() and (np.diff(times) > 0).all()):
+    count = (os.path.getsize(path) - _HEADER.size) // dtype.itemsize
+    if count == 0:  # np.memmap rejects a zero-length map
+        return grid, np.empty(0), np.empty((0, grid.n), dtype=np.complex128)
+    log = np.memmap(path, dtype=dtype, mode="r", offset=_HEADER.size, shape=(count,))
+    times, frames = np.array(log["t"], dtype=float), np.asarray(log["u"])
+    finite = np.isfinite(times).all() and all(
+        np.isfinite(frames[lo:lo + _FRAME_BLOCK]).all() for lo in range(0, count, _FRAME_BLOCK))
+    if not (finite and (np.diff(times) > 0).all()):
         raise ValueError("corrupt frame log: a non-finite time or sample, or times that do not strictly increase")
     return grid, times, frames
 
 
 def truncate_trajectory_frames(path, n_frames: int) -> None:
-    """Drop all records past the first n_frames (resume housekeeping)."""
-    grid = _parse_header(Path(path).read_bytes()[:_HEADER.size])
+    """Drop all records past the first n_frames (resume housekeeping).
+
+    Safe under a live mapping of the same log as long as n_frames is at
+    least its record count: only bytes beyond the mapped extent go.
+    """
+    grid = _read_header(path)
     with open(path, "r+b") as f:
         f.truncate(_HEADER.size + n_frames * _record_dtype(grid.n).itemsize)
 

@@ -64,6 +64,7 @@ def run_simulation(cfg: RunConfig, out_dir: Path, resume: bool = False) -> tuple
         if old_grid != grid:
             raise ConfigError("resume: grid mismatch in frame log")
         if old_times.size:
+            # cuts only a partial record past the extent that old_frames maps, so that view stays valid
             ckpt.truncate_trajectory_frames(frames_path, old_times.size)
             # rebuild the density log deterministically from the intact frames
             rebuilt = rebuild_trajectory(grid, old_times, old_frames, ctl)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .evolve import StepController
+from .evolve import StepController, _time_span
 from .functionals import cutoff_profile
 from .intervals import ProofConstants
 from .radial import RadialField, RadialGrid
@@ -97,13 +97,12 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         initial_data = functools.partial(_check_initial_data, self.family, self.amplitude, self.width, self.chirp)
         for prefix, build in (("grid.", self.grid), ("controller.", self.controller),
-                              ("constants: ", self.proof_constants), ("initial_data.", initial_data)):
+                              ("constants: ", self.proof_constants), ("initial_data.", initial_data),
+                              ("time_span: ", functools.partial(_time_span, self.t_span))):
             try:
                 build()
             except ValueError as exc:
                 raise ConfigError(f"{prefix}{exc}") from exc
-        _require(len(self.t_span) == 2 and all(isinstance(t, numbers.Real) for t in self.t_span)
-                 and self.t_span[0] < self.t_span[1], "time_span", f"must be an increasing pair, got {self.t_span}")
         _require(self.e_mode in ("measure", "declare"), "e_mode", "must be 'measure' or 'declare'")
         if self.e_mode == "declare":
             _require(isinstance(self.e_declared, numbers.Real) and self.e_declared > 0,

@@ -67,6 +67,9 @@ class Trajectory:
     densities keys: mass, energy, s_density (||u||_L15^15), H_sc_minus,
     H_sc, H_sc_plus1, boundary_mass, sup_abs.
     Immutable after a run; safe to share read-only across workers.
+    frames is taken without a copy: loaded from a run directory it is a
+    read-only, row-strided view of the mapped frame log (each row is
+    contiguous), so read it by rows or row blocks.
     """
 
     grid: RadialGrid
@@ -79,7 +82,7 @@ class Trajectory:
 
     def __post_init__(self):
         t = np.ascontiguousarray(self.times, dtype=float)
-        f = np.ascontiguousarray(self.frames, dtype=np.complex128)
+        f = np.asarray(self.frames, dtype=np.complex128)
         if f.shape != (t.size, self.grid.n):
             raise ValueError("frames must have shape (len(times), grid.n)")
         if t.size >= 2 and not (np.diff(t) > 0).all():
@@ -178,6 +181,13 @@ def _trajectory(grid, times, frames, ctl: StepController, provenance: dict, stat
                       boundary_breach=breach)
 
 
+def _time_span(t_span) -> tuple[float, float]:
+    """(t_a, t_b) of an increasing pair of real numbers; the one owner of the time-span rule."""
+    if not (len(t_span) == 2 and all(isinstance(t, numbers.Real) for t in t_span) and t_span[0] < t_span[1]):
+        raise ValueError(f"must be an increasing pair, got {t_span}")
+    return float(t_span[0]), float(t_span[1])
+
+
 def _snapshot_times(t_a: float, t_b: float, stride: float, anchor: float | None = None) -> np.ndarray:
     """Snapshot boundaries anchor + k*stride inside (t_a, t_b], always ending at t_b.
 
@@ -242,22 +252,20 @@ def evolve(
     from a frame repeats the original bytes.  provenance['telemetry']
     records accepted steps, rejected halvings and the dt range.
     """
-    t_a, t_b = float(t_span[0]), float(t_span[1])
-    if not t_a < t_b:
-        raise ValueError(f"need t_a < t_b, got {t_span}")
-
+    t_a, t_b = _time_span(t_span)
     g = u0.grid
     snap_times = _snapshot_times(t_a, t_b, ctl.snapshot_stride, snap_anchor)
     r = g.nodes
 
     propagator = functools.lru_cache(maxsize=_PROPAGATOR_TABLE)(functools.partial(_propagator, g))
 
-    times, frames, stats = [], [], []
+    times, stats = [], []
+    frames = np.empty((snap_times.size + 1, g.n), dtype=np.complex128)  # every frame a run can store
 
     def store(t: float, field: RadialField) -> None:
         st = _frame_stats(field.values[None], g, ctl)
+        frames[len(times)] = field.values
         times.append(t)
-        frames.append(field.values)
         stats.append(st)
         if on_frame is not None:
             on_frame(t, field, {k: x[0] for k, x in zip(_DENSITY_KEYS, st)})
@@ -323,7 +331,7 @@ def evolve(
         "dt_min": dt_lo if steps else None,
         "dt_max": dt_hi if steps else None,
     }
-    return _trajectory(g, times, np.array(frames), ctl, prov, status, np.concatenate(stats, axis=-1))
+    return _trajectory(g, times, frames[:len(times)], ctl, prov, status, np.concatenate(stats, axis=-1))
 
 
 def _windowed_duhamel_coeffs(traj: Trajectory, sel: np.ndarray, t: float) -> np.ndarray:
@@ -432,9 +440,7 @@ def rebuild_trajectory(
 
 def linear_trajectory(u0: RadialField, t_span, ctl: StepController) -> Trajectory:
     """Free-flow trajectory sampled like evolve (nonlinearity disabled)."""
-    t_a, t_b = float(t_span[0]), float(t_span[1])
-    if not t_a < t_b:
-        raise ValueError(f"need t_a < t_b, got {t_span}")
+    t_a, t_b = _time_span(t_span)
     snap = np.concatenate(([t_a], _snapshot_times(t_a, t_b, ctl.snapshot_stride)))
     frames = _free_flow_rows(snap - t_a, to_spectral(u0).coeffs, u0.grid)
     return _trajectory(u0.grid, snap, frames, ctl, {"linear": True})

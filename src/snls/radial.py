@@ -24,6 +24,7 @@ radial integrands (all odd derivatives vanish at both endpoints).
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass, field as dc_field
 
@@ -78,15 +79,21 @@ class RadialGrid:
     def dr(self) -> float:
         return self.r_max / (self.n + 1)
 
-    @property
+    # built once per grid and shared by every caller, hence read-only; cached_property writes to the
+    # instance __dict__, so the frozen dataclass still compares and hashes by (r_max, n) alone
+    @functools.cached_property
     def nodes(self) -> np.ndarray:
         """Interior nodes r_i = i*dr, i = 1..n."""
-        return self.dr * np.arange(1, self.n + 1)
+        r = self.dr * np.arange(1, self.n + 1)
+        r.flags.writeable = False
+        return r
 
-    @property
+    @functools.cached_property
     def frequencies(self) -> np.ndarray:
         """Sine frequencies rho_k = k*pi/r_max, k = 1..n."""
-        return (np.pi / self.r_max) * np.arange(1, self.n + 1)
+        rho = (np.pi / self.r_max) * np.arange(1, self.n + 1)
+        rho.flags.writeable = False
+        return rho
 
 
 def _as_samples(grid: RadialGrid, values) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Harness: config validation, simulate/resume determinism, diagnose, select, sweep."""
 
+import dataclasses
 import json
 import math
 import re
@@ -8,8 +9,10 @@ import struct
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from snls.checkpoints import (
+    TrajectoryFrameWriter,
     read_field,
     read_trajectory_frames,
     truncate_trajectory_frames,
@@ -19,7 +22,9 @@ from snls import intervals
 from snls.cli import EXIT_BLOWUP, EXIT_CONFIG, EXIT_OK, diagnose_trajectory, load_run, main, run_simulation
 from snls.config import FAMILIES, ConfigError, RunConfig, initial_field
 from snls.evolve import StepController
-from snls.intervals import IntervalDecomposition, ProofConstants, UNEXCEPTIONAL, synthetic_decomposition
+from snls.intervals import (
+    EXCEPTIONAL, TAIL, UNEXCEPTIONAL, IntervalDecomposition, ProofConstants, synthetic_decomposition,
+)
 from snls.radial import RadialGrid
 
 from conftest import gaussian_field
@@ -186,6 +191,55 @@ class TestFrameLog:
             assert main(["diagnose", str(run_dir)]) == EXIT_CONFIG
         assert "truncated header" in capsys.readouterr().err
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_append_then_cut_round_trip(self, tmp_path_factory, data):
+        # k appended frames, the file cut at any byte past the header: the intact prefix reads back bit for bit
+        n = data.draw(st.sampled_from([8, 15, 16]))
+        k = data.draw(st.integers(0, 6))
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        times = np.array(sorted(data.draw(st.lists(finite, min_size=k, max_size=k, unique=True))), dtype=float)
+        frames = data.draw(hnp.arrays(np.float64, (k, n, 2), elements=finite)).view(np.complex128)[..., 0]
+        path = tmp_path_factory.mktemp("log") / "frames.snls"
+        with TrajectoryFrameWriter(path, RadialGrid(20.0, n)) as writer:
+            for t, u in zip(times, frames):
+                writer.append(t, u)
+        raw = path.read_bytes()
+        rec = 8 + 16 * n
+        assert len(raw) == self.HEADER + k * rec
+        size = data.draw(st.integers(self.HEADER, len(raw)))
+        cut = path.with_name("cut.snls")
+        cut.write_bytes(raw[:size])
+        grid, t2, f2 = read_trajectory_frames(cut)
+        m = (size - self.HEADER) // rec
+        assert grid == RadialGrid(20.0, n)
+        assert t2.tobytes() == times[:m].tobytes()
+        assert f2.shape == (m, n) and f2.tobytes() == frames[:m].tobytes()
+
+    def test_header_only_log_has_no_frames(self, tmp_path, capsys):
+        run_dir = _simulated_run(tmp_path)
+        log = run_dir / "frames.snls"
+        log.write_bytes(log.read_bytes()[:self.HEADER])
+        grid, times, frames = read_trajectory_frames(log)
+        assert times.shape == (0,) and frames.shape == (0, grid.n)
+        assert main(["diagnose", str(run_dir)]) == EXIT_CONFIG
+        assert "incomplete trajectory" in capsys.readouterr().err
+
+    def test_load_run_maps_frames_read_only(self, tmp_path):
+        run_simulation(RunConfig.from_dict(FAST), tmp_path / "run")
+        _, traj = load_run(tmp_path / "run")
+        assert not traj.frames.flags.owndata and not traj.frames.flags.writeable
+
+    def test_rerun_keeps_earlier_mapping(self, tmp_path):
+        # a fresh run over a mapped log must not truncate the mapped file (reading it would raise SIGBUS)
+        cfg = RunConfig.from_dict(FAST)
+        run_simulation(cfg, tmp_path / "run")
+        _, traj = load_run(tmp_path / "run")
+        saved = traj.frames.copy()
+        run_simulation(RunConfig.from_dict({**FAST, "t_span": [0.0, 0.03]}), tmp_path / "run")
+        assert read_trajectory_frames(tmp_path / "run" / "frames.snls")[1].size == 4
+        assert np.array_equal(traj.frames, saved)
+
 
 class TestSimulate:
     def test_outputs_and_exit(self, tmp_path):
@@ -296,6 +350,31 @@ class TestCommands:
             total = np.trapezoid(real(traj, m), traj.times)
             assert ratio == pytest.approx(total ** (1.0 / 15.0) / traj.densities["H_sc"][m], rel=1e-12)
 
+    def test_diagnose_selects_and_audits_designated_intervals(self, tmp_path, monkeypatch):
+        # no desk run reaches G > 0, so designate the intervals near the density peak, as C12 does
+        run_dir = _simulated_run(tmp_path)
+        real = intervals.classify
+        designated = []
+
+        def near_peak(decomp, traj, constants):
+            out = real(decomp, traj, constants)
+            peak_t = traj.times[int(np.argmax(traj.densities["s_density"]))]
+            flags = tuple(TAIL if f == TAIL else UNEXCEPTIONAL if abs(0.5 * (a + b) - peak_t) < 0.05 else EXCEPTIONAL
+                          for (a, b), f in zip(out.intervals, out.flags))
+            designated.append(flags.count(UNEXCEPTIONAL))
+            return dataclasses.replace(out, flags=flags)
+
+        monkeypatch.setattr(intervals, "classify", near_peak)
+        assert main(["diagnose", str(run_dir)]) == EXIT_OK
+        report = json.loads((run_dir / "diagnose.json").read_text())
+        assert designated[0] > 0 and report["counts"]["G"] == designated[0]
+        assert report["all_exceptional"] is False
+        sel, audit = report["selection"], report["audit"]
+        flags = [row["flag"] for row in report["decomposition"]["intervals"]]
+        assert sel["K"] >= 1 and all(flags[j] == UNEXCEPTIONAL for j in sel["chain"])
+        assert audit["K"] == sel["K"] and audit["t_star"] == sel["t_star"]
+        assert len(audit["steps"]) == sel["K"] and all(isinstance(s["resolvable"], bool) for s in audit["steps"])
+
     def test_diagnose_schema_stable(self, tmp_path):
         cfg_path = write_cfg(tmp_path)
         run_dir = tmp_path / "run"
@@ -367,9 +446,9 @@ class TestCommands:
         assert main(["simulate", "--config", str(bad)]) == 2
 
 
-def _simulated_run(tmp_path):
+def _simulated_run(tmp_path, **overrides):
     run_dir = tmp_path / "run"
-    assert main(["simulate", "--config", str(write_cfg(tmp_path)), "--out", str(run_dir)]) == EXIT_OK
+    assert main(["simulate", "--config", str(write_cfg(tmp_path, **overrides)), "--out", str(run_dir)]) == EXIT_OK
     return run_dir
 
 
@@ -385,10 +464,11 @@ def _input_file(tmp_path, name, content):
     return str(path)
 
 
-def _corrupt_frame_log(tmp_path, field, record, value):
+def _corrupt_frame_log(tmp_path, field, record, value, **overrides):
     """A simulated run whose frame log holds value in one record's time or first sample."""
-    run_dir = _simulated_run(tmp_path)
+    run_dir = _simulated_run(tmp_path, **overrides)
     _, _, frames = read_trajectory_frames(run_dir / "frames.snls")
+    assert record < len(frames)
     offset = TestFrameLog.HEADER + record * (8 + 16 * frames.shape[1]) + (0 if field == "t" else 8)
     with open(run_dir / "frames.snls", "r+b") as f:
         f.seek(offset)
@@ -417,6 +497,9 @@ BAD_INPUTS = {
     "bounds_infinite_E": lambda tmp: ["bounds", "--E", "inf"],
     "bounds_missing_monitor_dir": lambda tmp: ["bounds", "--E", "1.0", "--monitor", str(tmp / "absent")],
     "diagnose_frame_log_nan_sample": lambda tmp: _corrupt_frame_log(tmp, "u", 3, math.nan),
+    # 40 frames are two full checking blocks and a partial one
+    "diagnose_frame_log_nan_in_last_of_40": lambda tmp: _corrupt_frame_log(tmp, "u", 39, math.nan,
+                                                                           t_span=[0.0, 0.39]),
     "diagnose_frame_log_times_not_increasing": lambda tmp: _corrupt_frame_log(tmp, "t", 4, 0.0),
 }
 

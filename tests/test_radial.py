@@ -30,6 +30,14 @@ class TestGrid:
         assert g.nodes[0] == g.dr and np.isclose(g.nodes[-1], g.r_max - g.dr)
         assert np.isclose(g.frequencies[0], np.pi / g.r_max)
 
+    def test_grid_arrays_cached_read_only(self):
+        g = RadialGrid(40.0, 4096)
+        assert g.nodes is g.nodes and g.frequencies is g.frequencies
+        assert not g.nodes.flags.writeable and not g.frequencies.flags.writeable
+        assert np.array_equal(g.nodes, g.dr * np.arange(1, g.n + 1))
+        fresh = RadialGrid(40.0, 4096)
+        assert fresh == g and hash(fresh) == hash(g) and {g: 1}[fresh] == 1
+
     @pytest.mark.parametrize("n", [7, 12, 100, 0])
     def test_rejects_bad_n(self, n):
         with pytest.raises(ValueError):
