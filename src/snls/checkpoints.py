@@ -11,6 +11,9 @@ rename; the frame log is append-only and the reader drops a truncated
 final record.  The reader maps the intact records read-only, so a loaded
 trajectory holds its frames once, in the page cache; a fresh log is
 therefore written to a new file, never over one that may still be mapped.
+
+densities.csv holds one row per stored frame, written with repr(float), so
+read_density_csv returns each value with the bits it was written with.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ __all__ = [
     "write_manifest",
     "read_manifest",
     "DENSITY_CSV_COLUMNS",
+    "read_density_csv",
 ]
 
 MAGIC = b"SNLS"
@@ -39,6 +43,8 @@ VERSION = 1
 _HEADER = struct.Struct("<4sIQd")
 
 DENSITY_CSV_COLUMNS = ("t", "mass", "energy", "Hsc", "Hsc_md", "Hsc_p1", "s_density", "boundary_mass")
+# the density key of each CSV column after t
+_CSV_DENSITIES = ("mass", "energy", "H_sc", "H_sc_minus", "H_sc_plus1", "s_density", "boundary_mass")
 
 
 def _atomic_write_bytes(path, payload: bytes) -> None:
@@ -169,6 +175,25 @@ def density_csv_header() -> str:
 
 
 def density_csv_row(t: float, stats: dict) -> str:
-    vals = (t, stats["mass"], stats["energy"], stats["H_sc"], stats["H_sc_minus"],
-            stats["H_sc_plus1"], stats["s_density"], stats["boundary_mass"])
-    return ",".join(repr(float(v)) for v in vals)
+    return ",".join(repr(float(v)) for v in (t, *(stats[k] for k in _CSV_DENSITIES)))
+
+
+def density_csv_text(times, densities: dict) -> str:
+    """A whole densities.csv: the header, then one row per time."""
+    rows = (density_csv_row(t, {k: v[m] for k, v in densities.items()}) for m, t in enumerate(times))
+    return "\n".join((density_csv_header(), *rows)) + "\n"
+
+
+def read_density_csv(path) -> tuple[np.ndarray, dict]:
+    """(times, densities) of a densities.csv; a ValueError unless it is the header and whole rows.
+
+    A whole row holds one number per column and ends in a newline; a torn
+    last line is dropped, as the frame-log reader drops a truncated record.
+    """
+    lines = Path(path).read_text().split("\n")
+    rows = [line.split(",") for line in lines[1:-1]]
+    if lines[0] != density_csv_header() or any(len(r) != len(DENSITY_CSV_COLUMNS) for r in rows):
+        raise ValueError(f"{path}: not a header followed by whole rows")
+    cols = np.array([[float(v) for v in r] for r in rows], dtype=float).reshape(-1, len(DENSITY_CSV_COLUMNS))
+    cols = np.ascontiguousarray(cols.T)  # one contiguous series per column
+    return cols[0], dict(zip(_CSV_DENSITIES, cols[1:]))

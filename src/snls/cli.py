@@ -8,11 +8,13 @@ SNLS_RUN_ROOT, when set, resolves relative output directories.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import os
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -66,13 +68,12 @@ def run_simulation(cfg: RunConfig, out_dir: Path, resume: bool = False) -> tuple
         if old_times.size:
             # cuts only a partial record past the extent that old_frames maps, so that view stays valid
             ckpt.truncate_trajectory_frames(frames_path, old_times.size)
-            # rebuild the density log deterministically from the intact frames
-            rebuilt = rebuild_trajectory(grid, old_times, old_frames, ctl)
-            with open(csv_path, "w") as f:
-                f.write(ckpt.density_csv_header() + "\n")
-                for m, t in enumerate(old_times):
-                    stats = {k: rebuilt.densities[k][m] for k in rebuilt.densities}
-                    f.write(ckpt.density_csv_row(float(t), stats) + "\n")
+            # the density log of the intact frames: its own rows when they belong to them, else recomputed
+            prefix = rebuild_trajectory(grid, old_times, old_frames, ctl, stored=_stored_densities(csv_path))
+            text = ckpt.density_csv_text(old_times, prefix.densities)
+            # rewritten only to drop rows past the intact frames, a torn line, or rows that are not theirs
+            if not csv_path.is_file() or csv_path.read_bytes() != text.encode():
+                csv_path.write_text(text)
             t_start = float(old_times[-1])
             u_start = RadialField(grid, old_frames[-1])
             append = True
@@ -105,12 +106,12 @@ def run_simulation(cfg: RunConfig, out_dir: Path, resume: bool = False) -> tuple
             traj = evolve(u_start, (t_start, t_b), ctl, provenance={"config": cfg.to_dict()},
                           on_frame=on_frame, snap_anchor=t_a)
             telemetry, status = traj.provenance["telemetry"], traj.status
-        if append or telemetry is None:  # a resumed run's trajectory is its whole frame log
-            traj = rebuild_trajectory(*ckpt.read_trajectory_frames(frames_path), ctl,
-                                      provenance={"config": cfg.to_dict()}, status=status)
     finally:
         writer.close()
         csv_f.close()
+    if append:  # a resumed run's trajectory is its whole frame log, with the prefix's rows and evolve's in the CSV
+        traj = rebuild_trajectory(*ckpt.read_trajectory_frames(frames_path), ctl, provenance={"config": cfg.to_dict()},
+                                  status=status, stored=_stored_densities(csv_path))
 
     manifest.update({
         "status": traj.status,
@@ -137,13 +138,28 @@ def _read_run_dir(run_dir: Path) -> tuple[dict, tuple]:
         raise ConfigError(f"{run_dir}: {exc}") from exc
 
 
+def _stored_densities(csv_path: Path):
+    """(times, densities) of a run's densities.csv, or None when it is missing or unreadable."""
+    try:
+        return ckpt.read_density_csv(csv_path)
+    except (OSError, ValueError):
+        return None
+
+
 def load_run(run_dir: Path) -> tuple[RunConfig, Trajectory]:
+    """(config, trajectory) of a run directory; a bad manifest or frame log is a ConfigError.
+
+    The frames are mapped from frames.snls.  Their densities are the rows
+    of densities.csv when those provably belong to the frames (see
+    evolve._stored_stats), else recomputed from the frames, with the same
+    bits either way.
+    """
     manifest, (grid, times, frames) = _read_run_dir(run_dir)
     cfg = RunConfig.from_dict(manifest["config"])
     if times.size < 2:
         raise ConfigError(f"incomplete trajectory in {run_dir}: {times.size} frame(s)")
-    traj = rebuild_trajectory(grid, times, frames, cfg.controller(),
-                              provenance={"config": cfg.to_dict()}, status=manifest.get("status", "ok"))
+    traj = rebuild_trajectory(grid, times, frames, cfg.controller(), provenance={"config": cfg.to_dict()},
+                              status=manifest.get("status", "ok"), stored=_stored_densities(run_dir / "densities.csv"))
     return cfg, traj
 
 
@@ -285,6 +301,9 @@ def _sweep_cell(payload) -> dict:
             "error": "",
         })
     except Exception as exc:  # per-cell isolation: one failure must not kill the grid
+        with contextlib.suppress(OSError):  # the traceback is context; losing it must not end the grid either
+            Path(cell_dir).mkdir(parents=True, exist_ok=True)
+            (Path(cell_dir) / "error.txt").write_text("".join(traceback.format_exception(exc)))
         row.update({"status": "error", "exit": -1, "E": "", "eta": "", "J": "",
                     "B": "", "G": "", "K": "", "error": str(exc)})
     return row

@@ -426,6 +426,30 @@ def average_translate(field: RadialField, r_avg: float) -> RadialField:
     return from_spectral(SpectralField(field.grid, spec.coeffs * m))
 
 
+def _stored_stats(grid: RadialGrid, times: np.ndarray, frames: np.ndarray, ctl: StepController, stored):
+    """The densities of the stored frames taken from stored, else None; the one owner of the cache-hit rule.
+
+    stored is (times, densities) as read back from densities.csv.  Its rows
+    belong to the frames when it has a row for every frame, its times equal
+    the frame times bit for bit, and a fresh _frame_stats of the last frame
+    equals that frame's row bit for bit (a CSV of another config or formula
+    fails there).  An edited earlier row goes unseen.  sup_abs is no CSV
+    column, so it comes from the frames by _frame_stats's own expression,
+    which needs no transform.
+    """
+    if stored is None:
+        return None
+    csv_times, csv = stored
+    f = len(times)
+    if csv_times[:f].tobytes() != np.asarray(times, dtype=float).tobytes():  # also unequal when rows are missing
+        return None
+    rows = [csv[k][:f] for k in _DENSITY_KEYS[:-1]]  # every key but sup_abs, in _frame_stats order
+    last = _frame_stats(frames[f - 1:f], grid, ctl)
+    if any(row[-1:].tobytes() != fresh.tobytes() for row, fresh in zip(rows, last)):
+        return None
+    return rows + [_block_rows(frames, _lp_rows, grid, np.inf)]
+
+
 def rebuild_trajectory(
     grid: RadialGrid,
     times: np.ndarray,
@@ -433,9 +457,18 @@ def rebuild_trajectory(
     ctl: StepController,
     provenance: dict | None = None,
     status: str = "ok",
+    stored=None,
 ) -> Trajectory:
-    """Reconstruct a Trajectory (densities recomputed) from stored frames."""
-    return _trajectory(grid, times, frames, ctl, dict(provenance or {}), status)
+    """Reconstruct a Trajectory from stored frames.
+
+    stored, when given, is (times, densities) as read from the run's
+    densities.csv.  Its rows are the densities when they provably belong to
+    these frames (_stored_stats); otherwise every row is recomputed.  Both
+    ways give the same bits, since evolve wrote the rows from the same
+    formula.
+    """
+    return _trajectory(grid, times, frames, ctl, dict(provenance or {}), status,
+                       _stored_stats(grid, times, frames, ctl, stored))
 
 
 def linear_trajectory(u0: RadialField, t_span, ctl: StepController) -> Trajectory:

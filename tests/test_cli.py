@@ -1,9 +1,11 @@
 """Harness: config validation, simulate/resume determinism, diagnose, select, sweep."""
 
 import dataclasses
+import importlib
 import json
 import math
 import re
+import shutil
 import struct
 
 import numpy as np
@@ -13,6 +15,8 @@ from hypothesis.extra import numpy as hnp
 
 from snls.checkpoints import (
     TrajectoryFrameWriter,
+    density_csv_text,
+    read_density_csv,
     read_field,
     read_trajectory_frames,
     truncate_trajectory_frames,
@@ -21,7 +25,7 @@ from snls.checkpoints import (
 from snls import intervals
 from snls.cli import EXIT_BLOWUP, EXIT_CONFIG, EXIT_OK, diagnose_trajectory, load_run, main, run_simulation
 from snls.config import FAMILIES, ConfigError, RunConfig, initial_field
-from snls.evolve import StepController
+from snls.evolve import StepController, rebuild_trajectory
 from snls.intervals import (
     EXCEPTIONAL, TAIL, UNEXCEPTIONAL, IntervalDecomposition, ProofConstants, synthetic_decomposition,
 )
@@ -440,6 +444,20 @@ class TestCommands:
         assert cells == sorted(cells)
         assert all(r.split(",")[2] == "ok" for r in rows[1:])
 
+    def test_sweep_keeps_failure_traceback(self, tmp_path):
+        base = {**FAST, "t_span": [0.0, 0.03]}
+        for name, thetas in (("grid", [0.1, 2.0]), ("alone", [0.1])):
+            spec_path = _input_file(tmp_path, f"{name}.json", {"base": base, "sweep": {"theta": thetas}})
+            assert main(["sweep", "--config", spec_path, "--out", str(tmp_path / name)]) == EXIT_OK
+        header, good, bad = (tmp_path / "grid" / "sweep.csv").read_text().splitlines()
+        assert [header, good] == (tmp_path / "alone" / "sweep.csv").read_text().splitlines()
+        assert header == "theta,status,exit,E,eta,J,B,G,K,error"
+        message = "controller.theta must lie in (0, 1], got 2.0"
+        assert bad == "2.0,error,-1,,,,,,," + message
+        trace = (tmp_path / "grid" / "cell_theta=2.0" / "error.txt").read_text()
+        assert trace.startswith("Traceback") and trace.rstrip().endswith("ConfigError: " + message)
+        assert not (tmp_path / "grid" / "cell_theta=0.1" / "error.txt").exists()
+
     def test_bad_config_exit(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({**FAST, "n": 100}))
@@ -523,6 +541,12 @@ def test_bounds_saturate_at_huge_E(E, capsys):
     assert report["exceptional_ceiling"] == report["scattering_bound"] == report["plan"]["R0"] == math.inf
 
 
+def _assert_same_bits(densities, expected):
+    assert sorted(densities) == sorted(expected)
+    for k, v in expected.items():
+        assert densities[k].tobytes() == v.tobytes(), k
+
+
 class TestLoadRun:
     def test_rebuild_matches(self, tmp_path):
         cfg = RunConfig.from_dict(FAST)
@@ -533,3 +557,118 @@ class TestLoadRun:
         assert np.array_equal(traj2.frames, traj.frames)
         for k in traj.densities:
             assert np.array_equal(traj2.densities[k], traj.densities[k])
+
+
+class TestDensityCache:
+    """densities.csv stands in for the frame statistics only when it provably belongs to the frames."""
+
+    @pytest.fixture(scope="class")
+    def cached_run(self, tmp_path_factory):
+        """A FAST run, its full-recompute densities and the bytes of its cache-hit diagnose.json."""
+        root = tmp_path_factory.mktemp("cache")
+        run_dir = root / "run"
+        assert main(["simulate", "--config", str(write_cfg(root)), "--out", str(run_dir)]) == EXIT_OK
+        assert main(["diagnose", str(run_dir)]) == EXIT_OK
+        full = rebuild_trajectory(*read_trajectory_frames(run_dir / "frames.snls"),
+                                  RunConfig.from_dict(FAST).controller())
+        return run_dir, full.densities, (run_dir / "diagnose.json").read_bytes()
+
+    @staticmethod
+    def _count_rows(monkeypatch):
+        """A list that grows by the number of frames each evolve._frame_stats call is given."""
+        evolve_mod = importlib.import_module("snls.evolve")
+        real, rows = evolve_mod._frame_stats, []
+
+        def counted(u, grid, ctl):
+            rows.append(len(u))
+            return real(u, grid, ctl)
+
+        monkeypatch.setattr(evolve_mod, "_frame_stats", counted)
+        return rows
+
+    @staticmethod
+    def _copy_without_csv(run_dir, dest):
+        dest.mkdir()
+        for name in ("manifest.json", "frames.snls"):
+            shutil.copyfile(run_dir / name, dest / name)
+        return dest
+
+    def _assert_recomputed(self, cached_run, run_dir, monkeypatch):
+        _, full, report = cached_run
+        rows = self._count_rows(monkeypatch)
+        _, traj = load_run(run_dir)
+        assert sum(rows) >= len(full["mass"])  # a miss: every frame computed again
+        _assert_same_bits(traj.densities, full)
+        assert main(["diagnose", str(run_dir), "--out", str(run_dir / "again.json")]) == EXIT_OK
+        assert (run_dir / "again.json").read_bytes() == report
+
+    def test_hit_reads_rows_and_checks_one(self, cached_run, monkeypatch):
+        src, full, _ = cached_run
+        rows = self._count_rows(monkeypatch)
+        _, traj = load_run(src)
+        assert rows == [1]
+        _assert_same_bits(traj.densities, full)
+
+    @pytest.mark.parametrize("form", ["deleted", "missing_last_row", "last_row_one_ulp_off", "first_time_one_ulp_off",
+                                      "other_sobolev_delta"])
+    def test_bad_csv_is_recomputed(self, form, cached_run, tmp_path, monkeypatch):
+        src = cached_run[0]
+        run_dir = self._copy_without_csv(src, tmp_path / "copy")
+        lines = (src / "densities.csv").read_text().splitlines(keepends=True)
+        if form == "missing_last_row":
+            (run_dir / "densities.csv").write_text("".join(lines[:-1]))
+        elif form.endswith("one_ulp_off"):
+            row, col = (-1, 2) if form.startswith("last") else (1, 0)  # the last row's energy, or the first time
+            cols = lines[row].rstrip("\n").split(",")
+            cols[col] = repr(float(np.nextafter(float(cols[col]), math.inf)))
+            lines[row] = ",".join(cols) + "\n"
+            (run_dir / "densities.csv").write_text("".join(lines))
+        elif form == "other_sobolev_delta":
+            other = (_simulated_run(tmp_path, sobolev_delta=0.2) / "densities.csv").read_bytes()
+            assert other.split(b"\n")[1:] != "".join(lines).encode().split(b"\n")[1:]
+            (run_dir / "densities.csv").write_bytes(other)
+        self._assert_recomputed(cached_run, run_dir, monkeypatch)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_cut_csv_is_recomputed(self, cached_run, tmp_path_factory, data):
+        src = cached_run[0]
+        raw = (src / "densities.csv").read_bytes()
+        run_dir = self._copy_without_csv(src, tmp_path_factory.mktemp("cut") / "run")
+        (run_dir / "densities.csv").write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1))])
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self._assert_recomputed(cached_run, run_dir, monkeypatch)
+
+    @settings(max_examples=40, deadline=None)
+    @given(values=hnp.arrays(np.float64, st.tuples(st.integers(0, 5), st.just(8)),
+                             elements=st.floats(allow_nan=False)))
+    def test_rows_read_back_bit_for_bit(self, tmp_path_factory, values):
+        # repr keeps every bit of a finite or infinite float (a NaN payload would not survive, so it would miss)
+        keys = ("mass", "energy", "H_sc", "H_sc_minus", "H_sc_plus1", "s_density", "boundary_mass")
+        path = tmp_path_factory.mktemp("csv") / "densities.csv"
+        path.write_text(density_csv_text(values[:, 0], dict(zip(keys, values[:, 1:].T))))
+        times, densities = read_density_csv(path)
+        assert times.tobytes() == values[:, 0].tobytes()
+        assert np.stack([densities[k] for k in keys], axis=-1).tobytes() == values[:, 1:].tobytes()
+
+    def test_each_frame_row_computed_once(self, tmp_path, monkeypatch):
+        rows = self._count_rows(monkeypatch)
+        run_dir = _simulated_run(tmp_path)
+        frames = read_trajectory_frames(run_dir / "frames.snls")[1].size
+        assert main(["diagnose", str(run_dir)]) == EXIT_OK
+        assert main(["bounds", "--E", "1.0", "--delta", "1e-8", "--monitor", str(run_dir)]) == EXIT_OK
+        assert sum(rows) == frames + 2
+
+    @pytest.mark.parametrize("keep, bound", [(6, 6 + 2), (11, 2)])  # keeping all 11 frames resumes a finished run
+    def test_resume_computes_prefix_rows_once(self, keep, bound, tmp_path, monkeypatch):
+        cfg = RunConfig.from_dict(FAST)
+        run_simulation(cfg, tmp_path / "full")
+        run_simulation(cfg, tmp_path / "cut")
+        truncate_trajectory_frames(tmp_path / "cut" / "frames.snls", keep)
+        rows = self._count_rows(monkeypatch)
+        traj, code = run_simulation(cfg, tmp_path / "cut", resume=True)
+        assert code == EXIT_OK and traj.times.size == 11
+        assert sum(rows) <= bound
+        for name in ("frames.snls", "densities.csv"):
+            assert (tmp_path / "cut" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+        _assert_same_bits(traj.densities, load_run(tmp_path / "full")[1].densities)
