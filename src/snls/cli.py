@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import itertools
 import json
 import os
@@ -175,7 +176,7 @@ def diagnose_trajectory(traj: Trajectory, constants: iv.ProofConstants,
     decomp = iv.classify(decomp, traj, constants)
 
     total = float(np.trapezoid(traj.densities["s_density"], traj.times))
-    sum_masses = float(sum(decomp.masses))
+    sum_masses = float(sum(decomp.masses.tolist()))  # left to right: np.sum's pairwise order changes the bits
     rel_err = abs(total - sum_masses) / max(total, 1e-300)
     n_tail = len(decomp.indices(iv.TAIL))
     J = len(decomp) - n_tail
@@ -205,7 +206,7 @@ def diagnose_trajectory(traj: Trajectory, constants: iv.ProofConstants,
         "all_exceptional": G == 0,
         "exceptional_ceiling": constants.exceptional_ceiling(E),
         "strichartz_ratios": strich,
-        "linear_masses": [list(pair) for pair in (lm or [])],
+        "linear_masses": lm.tolist(),
         "reintegration": {
             "total": total,
             "sum_masses": sum_masses,
@@ -245,6 +246,7 @@ def _cmd_diagnose(args) -> int:
 
 def _cmd_select(args) -> int:
     decomp = read_json(args.instance, iv.IntervalDecomposition.from_json)
+    _require(iv.UNEXCEPTIONAL in decomp.flags, args.instance, "has no unexceptional interval to select from")
     constants = _load_constants(args)
     sel = iv.recursive_select(decomp, constants, removal_span=args.removal_span)
     iv.check_selection_invariants(decomp, sel)
@@ -334,10 +336,10 @@ def _cmd_sweep(args) -> int:
 
     cols = keys + ["status", "exit", "E", "eta", "J", "B", "G", "K", "error"]
     csv_path = out_dir / "sweep.csv"
-    with open(csv_path, "w") as f:
-        f.write(",".join(cols) + "\n")
-        for row in rows:
-            f.write(",".join(str(row.get(c, "")) for c in cols) + "\n")
+    with open(csv_path, "w", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")  # quotes an error message that holds a comma
+        writer.writerow(cols)
+        writer.writerows([str(row.get(c, "")) for c in cols] for row in rows)
     print(f"sweep: {len(rows)} cells -> {csv_path}")
     return EXIT_OK
 

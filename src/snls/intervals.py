@@ -10,8 +10,9 @@ oracle to certify it.
 
 from __future__ import annotations
 
+import math
 import numbers
-from dataclasses import asdict, dataclass, field as dc_field, replace
+from dataclasses import asdict, dataclass, field as dc_field, fields, replace
 
 import numpy as np
 
@@ -40,6 +41,7 @@ __all__ = [
 UNEXCEPTIONAL = "unexceptional"
 EXCEPTIONAL = "exceptional"
 TAIL = "tail"
+FLAGS = (UNEXCEPTIONAL, EXCEPTIONAL, TAIL)
 
 
 def eta_of(E, C2: float):
@@ -108,55 +110,88 @@ class ProofConstants:
         return asdict(self)
 
 
-@dataclass(frozen=True)
-class IntervalDecomposition:
-    """Consecutive intervals covering [t_-, t_+] with per-interval mass and flag."""
+def _frozen(values, dtype) -> np.ndarray:
+    """A read-only copy of values, so the caller's array stays writable."""
+    arr = np.array(values, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
 
-    intervals: tuple
-    masses: tuple
+
+@dataclass(frozen=True, eq=False)
+class IntervalDecomposition:
+    """Consecutive intervals covering [t_-, t_+] with per-interval mass and flag.
+
+    The per-interval fields are read-only arrays: intervals (J, 2) endpoints
+    as given, masses (J,), flags (J,) of strings and, once classify has run,
+    linear_masses (J, 2), the (minus, plus) anchored free-flow masses.
+    The constructor is the one owner of the input rules; a breach is a
+    ValueError.
+    """
+
+    intervals: np.ndarray
+    masses: np.ndarray
     eta: float
-    flags: tuple
+    flags: np.ndarray
     classified: bool = False
-    linear_masses: tuple | None = None  # (minus, plus) per interval, set by classify
+    linear_masses: np.ndarray | None = None
 
     def __post_init__(self):
-        iv = tuple((float(a), float(b)) for a, b in self.intervals)
-        object.__setattr__(self, "intervals", iv)
-        object.__setattr__(self, "masses", tuple(float(m) for m in self.masses))
-        object.__setattr__(self, "flags", tuple(self.flags))
-        if len(iv) != len(self.masses) or len(iv) != len(self.flags):
-            raise ValueError("intervals, masses, flags must have equal length")
-        if not iv:
+        iv = _frozen(self.intervals, float)
+        masses = _frozen(self.masses, float)
+        flags = _frozen(self.flags, object)  # references to the flag strings, not a copy of each
+        J = len(iv)
+        if not J:
             raise ValueError("decomposition must contain at least one interval")
-        for (a, b) in iv:
-            if not a < b:
-                raise ValueError(f"degenerate interval [{a}, {b}]")
-        for (_, b), (a2, _) in zip(iv, iv[1:]):
-            if abs(a2 - b) > 1e-9 * max(1.0, abs(b)):
-                raise ValueError("intervals must be consecutive")
-        ntail = sum(1 for f in self.flags if f == TAIL)
-        if ntail > 1 or (ntail == 1 and self.flags[-1] != TAIL):
+        if iv.shape != (J, 2) or masses.shape != (J,) or flags.shape != (J,):
+            raise ValueError("intervals must be (t0, t1) pairs, with one mass and one flag per interval")
+        degenerate = np.flatnonzero(~(iv[:, 0] < iv[:, 1]))
+        if degenerate.size:
+            raise ValueError(f"degenerate interval {iv[degenerate[0]].tolist()}")
+        if (np.abs(iv[1:, 0] - iv[:-1, 1]) > 1e-9 * np.maximum(1.0, np.abs(iv[:-1, 1]))).any():
+            raise ValueError("intervals must be consecutive")
+        unknown = flags[~np.isin(flags, FLAGS)]
+        if unknown.size:
+            raise ValueError(f"flag must be one of {FLAGS}, got {str(unknown[0])!r}")
+        if (flags[:-1] == TAIL).any():
             raise ValueError("at most one tail interval, and only in last position")
+        if not (math.isfinite(self.eta) and self.eta > 0):
+            raise ValueError(f"eta must be finite and positive, got {self.eta!r}")
+        if not (np.isfinite(masses) & (masses >= 0)).all():
+            raise ValueError("every mass must be finite and nonnegative")
+        object.__setattr__(self, "intervals", iv)
+        object.__setattr__(self, "masses", masses)
+        object.__setattr__(self, "eta", float(self.eta))
+        object.__setattr__(self, "flags", flags)
+        if self.linear_masses is not None:
+            lm = _frozen(self.linear_masses, float)
+            if lm.shape != (J, 2):
+                raise ValueError("linear_masses must hold one (minus, plus) pair per interval")
+            object.__setattr__(self, "linear_masses", lm)
+
+    def __eq__(self, other):
+        if not isinstance(other, IntervalDecomposition):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
     def __len__(self) -> int:
         return len(self.intervals)
 
     @property
     def span(self) -> tuple[float, float]:
-        return self.intervals[0][0], self.intervals[-1][1]
+        return float(self.intervals[0, 0]), float(self.intervals[-1, 1])
 
     def lengths(self) -> np.ndarray:
-        return np.array([b - a for a, b in self.intervals])
+        return self.intervals[:, 1] - self.intervals[:, 0]
 
     def indices(self, flag: str) -> list[int]:
-        return [j for j, f in enumerate(self.flags) if f == flag]
+        return np.flatnonzero(self.flags == flag).tolist()
 
     def to_json(self) -> dict:
         return {
             "eta": self.eta,
             "intervals": [
                 {"t0": a, "t1": b, "mass": m, "flag": f}
-                for (a, b), m, f in zip(self.intervals, self.masses, self.flags)
+                for (a, b), m, f in zip(self.intervals.tolist(), self.masses.tolist(), self.flags.tolist())
             ],
         }
 
@@ -164,10 +199,10 @@ class IntervalDecomposition:
     def from_json(obj: dict) -> "IntervalDecomposition":
         rows = obj["intervals"]
         return IntervalDecomposition(
-            intervals=tuple((row["t0"], row["t1"]) for row in rows),
-            masses=tuple(row["mass"] for row in rows),
+            intervals=[(row["t0"], row["t1"]) for row in rows],
+            masses=[row["mass"] for row in rows],
             eta=float(obj["eta"]),
-            flags=tuple(row["flag"] for row in rows),
+            flags=[row["flag"] for row in rows],
             classified=True,
         )
 
@@ -221,21 +256,17 @@ def partition_by_eta(times, density, eta: float) -> IntervalDecomposition:
     n_full = int(np.floor(total / eta + 1e-12))
     remainder = total - n_full * eta
     merge_sliver = remainder <= 1e-9 * eta
-    cuts = [t_a]
-    for k in range(1, n_full if merge_sliver else n_full + 1):  # a merged sliver ends at t_b
-        target = k * eta
-        i = int(np.searchsorted(cum, target, side="left"))
-        t_cut = times[i - 1] + (target - cum[i - 1]) / (cum[i] - cum[i - 1]) * (times[i] - times[i - 1])
-        cuts.append(float(t_cut))
-    cuts.append(t_b)
+    targets = np.arange(1, n_full if merge_sliver else n_full + 1) * eta  # a merged sliver ends at t_b
+    i = np.searchsorted(cum, targets, side="left")
+    inner = times[i - 1] + (targets - cum[i - 1]) / (cum[i] - cum[i - 1]) * (times[i] - times[i - 1])
+    cuts = np.concatenate(([t_a], inner, [t_b]))
+    masses = np.full(cuts.size - 1, eta)
+    flags = np.full(cuts.size - 1, UNEXCEPTIONAL, dtype=object)
     if merge_sliver:
-        masses = [eta] * (n_full - 1) + [eta + remainder]
-        flags = [UNEXCEPTIONAL] * n_full
+        masses[-1] += remainder
     else:
-        masses = [eta] * n_full + [remainder]
-        flags = [UNEXCEPTIONAL] * n_full + [TAIL]
-    intervals = tuple(zip(cuts[:-1], cuts[1:]))
-    return IntervalDecomposition(intervals=intervals, masses=tuple(masses), eta=eta, flags=tuple(flags))
+        masses[-1], flags[-1] = remainder, TAIL
+    return IntervalDecomposition(intervals=np.column_stack((cuts[:-1], cuts[1:])), masses=masses, eta=eta, flags=flags)
 
 
 def partition_trajectory(traj: Trajectory, eta: float) -> IntervalDecomposition:
@@ -266,14 +297,12 @@ def classify(decomp: IntervalDecomposition, traj: Trajectory, constants: ProofCo
     the forward flow of u(t_-) and the backward-anchored flow of u(t_+).
     The tail interval keeps its flag and is excluded from the statistics.
     """
-    a, b = np.array(decomp.intervals).T
-    lin = [_free_flow_masses(traj, traj.frame_index(t), a, b).tolist() for t in decomp.span]
-    threshold = decomp.eta ** constants.C1
-    flags = [
-        TAIL if flag == TAIL else EXCEPTIONAL if max(im, ip) > threshold else UNEXCEPTIONAL
-        for flag, im, ip in zip(decomp.flags, *lin)
-    ]
-    return replace(decomp, flags=tuple(flags), classified=True, linear_masses=tuple(zip(*lin)))
+    a, b = decomp.intervals.T
+    lin = np.column_stack([_free_flow_masses(traj, traj.frame_index(t), a, b) for t in decomp.span])
+    flags = np.full(len(decomp), UNEXCEPTIONAL, dtype=object)
+    flags[lin.max(axis=1) > decomp.eta ** constants.C1] = EXCEPTIONAL
+    flags[decomp.flags == TAIL] = TAIL
+    return replace(decomp, flags=flags, classified=True, linear_masses=lin)
 
 
 @dataclass(frozen=True)
@@ -299,7 +328,7 @@ def concentration_scan(traj: Trajectory, decomp: IntervalDecomposition, constant
     eta = decomp.eta
     certs = []
     for j in decomp.indices(UNEXCEPTIONAL):
-        a, b = decomp.intervals[j]
+        a, b = decomp.intervals[j].tolist()
         L = b - a
         radius = constants.dist_cap(eta) * np.sqrt(L)
         reference = eta**constants.C * L ** (7.0 / 12.0)
@@ -336,30 +365,12 @@ def select_long_interval(decomp: IntervalDecomposition, index_range, constants: 
     return LongIntervalResult(j_star, float(lengths[j_star]), float(span), bool(lengths[j_star] >= floor))
 
 
-def _consecutive_runs(indices) -> list[tuple[int, int]]:
-    """Maximal runs of consecutive integers, as inclusive (lo, hi) pairs."""
-    runs = []
-    it = iter(sorted(indices))
-    try:
-        lo = hi = next(it)
-    except StopIteration:
-        return runs
-    for j in it:
-        if j == hi + 1:
-            hi = j
-        else:
-            runs.append((lo, hi))
-            lo = hi = j
-    runs.append((lo, hi))
-    return runs
-
-
-def _largest_run(runs) -> tuple[int, int]:
-    best = runs[0]
-    for r in runs[1:]:
-        if (r[1] - r[0]) > (best[1] - best[0]):
-            best = r
-    return best
+def _longest_run(mask: np.ndarray) -> tuple[int, int]:
+    """The leftmost longest run of True in a boolean mask holding a True, as an inclusive (lo, hi) pair."""
+    edges = np.diff(mask.view(np.int8), prepend=0, append=0)
+    starts, stops = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    k = int(np.argmax(stops - starts))
+    return int(starts[k]), int(stops[k]) - 1
 
 
 def recursive_select(
@@ -374,8 +385,9 @@ def recursive_select(
     index together with every interval longer than half its length, picks
     the largest remaining run inside the window, and selects its longest
     interval; iteration stops once the window's index span drops to the
-    threshold C_tilde * eta^-C or nothing remains.  t_star is the
-    midpoint of the last chain interval.
+    threshold C_tilde * eta^-C or nothing remains.  Ties go to the
+    leftmost run and the leftmost interval.  t_star is the midpoint of
+    the last chain interval.
 
     removal_span chooses the removed index range: "window" (the whole
     current window; keeps the dyadic decrease automatic) or
@@ -388,63 +400,48 @@ def recursive_select(
     """
     if removal_span not in ("window", "left_of_selected"):
         raise ValueError(f"unknown removal_span {removal_span!r}")
-    g_idx = decomp.indices(UNEXCEPTIONAL)
-    if not g_idx:
+    alive = decomp.flags == UNEXCEPTIONAL
+    if not alive.any():
         raise ValueError("no unexceptional intervals")
-    eta = decomp.eta
-    cap = constants.dist_cap(eta)
-    threshold = constants.window_threshold(eta)
+    cap = constants.dist_cap(decomp.eta)
+    threshold = constants.window_threshold(decomp.eta)
     lengths = decomp.lengths()
+    a, b = decomp.intervals.T
 
-    def span_of(lo, hi):
-        return decomp.intervals[hi][1] - decomp.intervals[lo][0]
-
-    alive = set(g_idx)
-    lo, hi = _largest_run(_consecutive_runs(alive))
+    lo, hi = _longest_run(alive)
     chain = []
     spans = []
     while True:
-        members = [j for j in range(lo, hi + 1) if j in alive]
-        if not members:
-            break
-        j_k = max(members, key=lambda j: (lengths[j], -j))
-        if not chain and span_of(lo, hi) > cap * lengths[j_k]:
+        j_k = lo + int(np.argmax(lengths[lo : hi + 1]))  # every index of the window is alive
+        if not chain and b[hi] - a[lo] > cap * lengths[j_k]:
             # inadmissible first window: shrink to the selected interval alone
             lo = hi = j_k
         if chain:
             if lengths[j_k] > lengths[chain[-1]] / 2.0:
                 break  # dyadic decrease unavailable (left_of_selected reading)
-            if span_of(lo, hi) > cap * lengths[j_k]:
+            if b[hi] - a[lo] > cap * lengths[j_k]:
                 break  # distance cap would fail for this link
         chain.append(j_k)
-        spans.append(span_of(lo, hi))
+        spans.append(float(b[hi] - a[lo]))
         if hi - lo <= threshold:
             break
-        if removal_span == "window":
-            removed = {j for j in range(lo, hi + 1) if j in alive and lengths[j] > lengths[j_k] / 2.0}
-        else:
-            removed = {j for j in range(lo, j_k + 1) if j in alive and lengths[j] > lengths[j_k] / 2.0}
-        removed.add(j_k)
-        alive -= removed
-        remaining = [j for j in range(lo, hi + 1) if j in alive]
-        if not remaining:
+        stop = hi if removal_span == "window" else j_k
+        alive[lo : stop + 1] &= ~(lengths[lo : stop + 1] > lengths[j_k] / 2.0)
+        alive[j_k] = False
+        if not alive[lo : hi + 1].any():
             break
-        lo, hi = _largest_run(_consecutive_runs(remaining))
+        run_lo, run_hi = _longest_run(alive[lo : hi + 1])
+        lo, hi = lo + run_lo, lo + run_hi
 
-    a, b = decomp.intervals[chain[-1]]
-    t_star = 0.5 * (a + b)
-    ratios = []
-    for j in chain:
-        a, b = decomp.intervals[j]
-        dist = max(0.0, a - t_star, t_star - b)
-        ratios.append(dist / lengths[j])
+    t_star = 0.5 * (a[chain[-1]] + b[chain[-1]])
+    dist = np.maximum(0.0, np.maximum(a[chain] - t_star, t_star - b[chain]))
     return SelectionResult(
         t_star=float(t_star),
-        chain=tuple(int(j) for j in chain),
+        chain=tuple(chain),
         K=len(chain),
-        dist_ratios=tuple(float(r) for r in ratios),
+        dist_ratios=tuple((dist / lengths[chain]).tolist()),
         dist_cap=float(cap),
-        window_spans=tuple(float(s) for s in spans),
+        window_spans=tuple(spans),
     )
 
 
@@ -579,7 +576,7 @@ def mass_bracketing_audit(
     substituted = abs(t_frame - sel.t_star) > 1e-9 * max(1.0, abs(sel.t_star))
     u_star = traj.field(m)
     lengths = decomp.lengths()
-    chain_lengths = np.array([lengths[j] for j in sel.chain])
+    chain_lengths = lengths[list(sel.chain)]
     N = max(1, int(np.ceil(constants.C * np.log(1.0 / eta)))) if eta < 1 else 1
 
     steps = []
@@ -653,10 +650,4 @@ def synthetic_decomposition(
     if (flags == EXCEPTIONAL).all():
         flags[int(rng.integers(J))] = UNEXCEPTIONAL
     masses = rng.uniform(eta, 2.0 * eta, size=J)
-    return IntervalDecomposition(
-        intervals=tuple(zip(cuts[:-1], cuts[1:])),
-        masses=tuple(masses),
-        eta=eta,
-        flags=tuple(flags),
-        classified=True,
-    )
+    return IntervalDecomposition(np.column_stack((cuts[:-1], cuts[1:])), masses, eta, flags, classified=True)

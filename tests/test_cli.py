@@ -1,7 +1,9 @@
 """Harness: config validation, simulate/resume determinism, diagnose, select, sweep."""
 
+import csv
 import dataclasses
 import importlib
+import io
 import json
 import math
 import re
@@ -449,11 +451,14 @@ class TestCommands:
         for name, thetas in (("grid", [0.1, 2.0]), ("alone", [0.1])):
             spec_path = _input_file(tmp_path, f"{name}.json", {"base": base, "sweep": {"theta": thetas}})
             assert main(["sweep", "--config", spec_path, "--out", str(tmp_path / name)]) == EXIT_OK
-        header, good, bad = (tmp_path / "grid" / "sweep.csv").read_text().splitlines()
+        text = (tmp_path / "grid" / "sweep.csv").read_text()
+        header, good, bad = text.splitlines()
         assert [header, good] == (tmp_path / "alone" / "sweep.csv").read_text().splitlines()
         assert header == "theta,status,exit,E,eta,J,B,G,K,error"
-        message = "controller.theta must lie in (0, 1], got 2.0"
-        assert bad == "2.0,error,-1,,,,,,," + message
+        message = "controller.theta must lie in (0, 1], got 2.0"  # its comma is quoted, not a column break
+        assert bad == '2.0,error,-1,,,,,,,"' + message + '"'
+        rows = list(csv.reader(io.StringIO(text)))
+        assert [len(row) for row in rows] == [len(rows[0])] * 3 and rows[2][-1] == message
         trace = (tmp_path / "grid" / "cell_theta=2.0" / "error.txt").read_text()
         assert trace.startswith("Traceback") and trace.rstrip().endswith("ConfigError: " + message)
         assert not (tmp_path / "grid" / "cell_theta=0.1" / "error.txt").exists()
@@ -494,8 +499,11 @@ def _corrupt_frame_log(tmp_path, field, record, value, **overrides):
     return ["diagnose", str(run_dir)]
 
 
-def _instance(tmp_path):
-    return _input_file(tmp_path, "instance.json", synthetic_decomposition(np.random.default_rng(5), 12, 0.2).to_json())
+def _instance(tmp_path, eta=0.2, **first_row):
+    """A 12-interval select instance, with its eta or fields of its first row replaced."""
+    obj = {**synthetic_decomposition(np.random.default_rng(5), 12, 0.2).to_json(), "eta": eta}
+    obj["intervals"][0].update(first_row)
+    return _input_file(tmp_path, "instance.json", obj)
 
 
 BAD_INPUTS = {
@@ -508,6 +516,11 @@ BAD_INPUTS = {
     "select_without_intervals": lambda tmp: ["select", _input_file(tmp, "instance.json", {"eta": 0.1})],
     "select_unknown_constant": lambda tmp: [
         "select", _instance(tmp), "--constants", _input_file(tmp, "c.json", {"C": 2.0, "D": 1.0})],
+    "select_unknown_flag": lambda tmp: ["select", _instance(tmp, flag="good")],
+    "select_negative_eta": lambda tmp: ["select", _instance(tmp, eta=-0.5)],
+    "select_nan_mass": lambda tmp: ["select", _instance(tmp, mass=math.nan)],
+    "select_all_exceptional": lambda tmp: ["select", _input_file(tmp, "instance.json", {
+        "eta": 0.5, "intervals": [{"t0": 0.0, "t1": 1.0, "mass": 0.5, "flag": EXCEPTIONAL}]})],
     "diagnose_missing_constants": lambda tmp: [
         "diagnose", str(_simulated_run(tmp)), "--constants", str(tmp / "absent.json")],
     "bounds_C_below_one": lambda tmp: ["bounds", "--E", "1.0", "--constants", _input_file(tmp, "c.json", {"C": 0.5})],

@@ -1,7 +1,9 @@
 """Partition, classification, selection, and the brute-force oracle."""
 
+import dataclasses
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -47,6 +49,53 @@ def geometric_decomp(n=20, eta=0.5):
 
 
 PERMISSIVE = ProofConstants(C0=1, C1=1, C2=1, c=0.25, C=2.0, C_tilde=1e-9, C_prime=1.0)
+
+# Selections on synthetic instances (seed, J, removal_span) -> (chain, t_star, dist_ratios, window_spans).
+# Seeds 600-619 reach every exit of the selection loop: the first-window shrink, the dyadic and
+# distance-cap breaks, the window threshold and an emptied window.
+PINNED_CONSTANTS = (PERMISSIVE, ProofConstants(C=1.0, C_tilde=1e-9), ProofConstants())
+PINNED_SELECTIONS = {
+    (600, 1, 'window'): ((0,), 4.72619081737914, (0.0,), (9.45238163475828,)),
+    (600, 1, 'left_of_selected'): ((0,), 4.72619081737914, (0.0,), (9.45238163475828,)),
+    (601, 2, 'window'): ((1,), 7.890570783121308, (0.0,), (5.892487003371917,)),
+    (601, 2, 'left_of_selected'): ((1,), 7.890570783121308, (0.0,), (5.892487003371917,)),
+    (602, 3, 'window'): ((2,), 133.3351467523239, (0.0,), (207.666081652349,)),
+    (602, 3, 'left_of_selected'): ((2,), 133.3351467523239, (0.0,), (207.666081652349,)),
+    (603, 5, 'window'): ((2, 0, 1), 14.247424581939045, (0.0009736946912751843, 0.03746921740647421, 0.0), (676.9044679351193, 14.761984281818664, 1.0291193997592387)),
+    (603, 5, 'left_of_selected'): ((2, 0, 1), 14.247424581939045, (0.0009736946912751843, 0.03746921740647421, 0.0), (676.9044679351193, 14.761984281818664, 1.0291193997592387)),
+    (604, 8, 'window'): ((5,), 40.40925751375943, (0.0,), (14.82613235600612,)),
+    (604, 8, 'left_of_selected'): ((5,), 40.40925751375943, (0.0,), (14.82613235600612,)),
+    (605, 13, 'window'): ((11,), 1419.5233310625154, (0.0,), (1930.306137937373,)),
+    (605, 13, 'left_of_selected'): ((11,), 1419.5233310625154, (0.0,), (1930.306137937373,)),
+    (606, 20, 'window'): ((13, 7, 9), 708.1375141422845, (0.11169775631326387, 0.3089718790701402, 0.0), (3112.5319859970464, 180.65049801765167, 38.06176185543313)),
+    (606, 20, 'left_of_selected'): ((13, 7), 665.8212635643417, (0.15383213080234628, 0.0), (3112.5319859970464, 180.65049801765167)),
+    (607, 30, 'window'): ((8, 6), 193.6872194592029, (0.210581925925258, 0.0), (904.3836328002777, 264.7104937810921)),
+    (607, 30, 'left_of_selected'): ((8, 6), 193.6872194592029, (0.210581925925258, 0.0), (904.3836328002777, 264.7104937810921)),
+    (608, 42, 'window'): ((5,), 3061.3169492293046, (0.0,), (7601.4014245670705,)),
+    (608, 42, 'left_of_selected'): ((5,), 3061.3169492293046, (0.0,), (7601.4014245670705,)),
+    (609, 55, 'window'): ((29, 25, 26), 1646.307751749774, (1.2250257081968905, 0.006069053854545062, 0.0), (920.1585272767029, 154.46389369245094, 1.0005775497563718)),
+    (609, 55, 'left_of_selected'): ((29, 25), 1604.5910899727319, (1.3998232310918828, 0.0), (920.1585272767029, 154.46389369245094)),
+    (610, 70, 'window'): ((57,), 4210.237601179551, (0.0,), (642.2516260161051,)),
+    (610, 70, 'left_of_selected'): ((57,), 4210.237601179551, (0.0,), (642.2516260161051,)),
+    (611, 85, 'window'): ((7,), 978.4014753393097, (0.0,), (3836.4872602892965,)),
+    (611, 85, 'left_of_selected'): ((7,), 978.4014753393097, (0.0,), (3836.4872602892965,)),
+    (612, 100, 'window'): ((24, 21, 18, 17), 478.8836322696499, (0.42489883189788435, 0.6989199893165935, 0.03942528406783216, 0.0), (501.31455168888647, 122.99987620062439, 28.012194211979534, 1.0370099030029678)),
+    (612, 100, 'left_of_selected'): ((24, 21, 18), 485.97792942862645, (0.40028808052203224, 0.5185751091666532, 0.0), (501.31455168888647, 122.99987620062439, 28.012194211979534)),
+    (613, 120, 'window'): ((11,), 3131.4902769765727, (0.0,), (93.53174980334552,)),
+    (613, 120, 'left_of_selected'): ((11,), 3131.4902769765727, (0.0,), (93.53174980334552,)),
+    (614, 140, 'window'): ((13,), 775.697499748774, (0.0,), (889.5678141516983,)),
+    (614, 140, 'left_of_selected'): ((13,), 775.697499748774, (0.0,), (889.5678141516983,)),
+    (615, 160, 'window'): ((146,), 14096.14104331793, (0.0,), (1173.374625633949,)),
+    (615, 160, 'left_of_selected'): ((146,), 14096.14104331793, (0.0,), (1173.374625633949,)),
+    (616, 175, 'window'): ((5,), 1154.622325435114, (0.0,), (410.9684601525355,)),
+    (616, 175, 'left_of_selected'): ((5,), 1154.622325435114, (0.0,), (410.9684601525355,)),
+    (617, 190, 'window'): ((93,), 8807.240101089283, (0.0,), (3891.181099698606,)),
+    (617, 190, 'left_of_selected'): ((93,), 8807.240101089283, (0.0,), (3891.181099698606,)),
+    (618, 199, 'window'): ((70, 54, 57, 55, 56), 11114.804545383395, (2.533807458348984, 0.19675652023573123, 0.062453489471999656, 0.18004276366140515, 0.0), (2883.697745578418, 126.06858927364556, 34.14202934437162, 10.944381248362333, 2.897548142280357)),
+    (618, 199, 'left_of_selected'): ((70, 54, 57, 55, 56), 11114.804545383395, (2.533807458348984, 0.19675652023573123, 0.062453489471999656, 0.18004276366140515, 0.0), (2883.697745578418, 126.06858927364556, 34.14202934437162, 10.944381248362333, 2.897548142280357)),
+    (619, 200, 'window'): ((54, 57, 55), 6050.454322055831, (0.01937553931356213, 0.8006679451648757, 0.0), (646.5111978479063, 158.30574515256922, 18.83471662507509)),
+    (619, 200, 'left_of_selected'): ((54, 57, 55), 6050.454322055831, (0.01937553931356213, 0.8006679451648757, 0.0), (646.5111978479063, 158.30574515256922, 18.83471662507509)),
+}
 
 
 class TestPartition:
@@ -105,6 +154,37 @@ class TestPartition:
         cum = cumulative_series_integral(times, density)
         for (a, b), m in zip(d.intervals, d.masses):
             assert abs(series_integral_between(times, cum, a, b) - m) <= 1e-9 * max(total, eta)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        steps=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=40),
+        data=st.data(),
+        quanta=st.floats(0.3, 40.0),
+    )
+    def test_cuts_match_per_cut_search(self, steps, data, quanta):
+        times = np.concatenate(([0.0], np.cumsum(steps)))
+        density = np.array(data.draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+                                              min_size=times.size, max_size=times.size)))
+        cum = cumulative_series_integral(times, density)
+        # about half the draws aim a cut at a sample's running mass, where a flat stretch may start
+        m, k = data.draw(st.integers(1, times.size - 1)), data.draw(st.integers(1, 4))
+        if data.draw(st.booleans()) and cum[m] > 0:
+            eta = cum[m] / k
+        else:
+            eta = cum[-1] / quanta if cum[-1] > 0 else 1.0
+        d = partition_by_eta(times, density, eta)
+        # reference: one searchsorted and one interpolation per cut, as a left-to-right loop
+        cuts = [times[0]]
+        if cum[-1] >= eta:
+            n_full = int(np.floor(cum[-1] / eta + 1e-12))
+            merged = cum[-1] - n_full * eta <= 1e-9 * eta
+            for k in range(1, n_full if merged else n_full + 1):
+                target = k * eta
+                i = int(np.searchsorted(cum, target, side="left"))
+                cuts.append(times[i - 1] + (target - cum[i - 1]) / (cum[i] - cum[i - 1]) * (times[i] - times[i - 1]))
+        cuts.append(times[-1])
+        got = [a for a, _ in d.intervals] + [d.intervals[-1][1]]
+        assert np.array(got).tobytes() == np.array(cuts).tobytes()
 
     def test_rejects_negative_density(self):
         with pytest.raises(ValueError):
@@ -205,6 +285,15 @@ class TestRecursiveSelect:
                                      [False] * 20, cap)
         assert k_oracle == 20
 
+    def test_ties_go_to_leftmost_run_and_interval(self):
+        # two equally long runs of equally long intervals, split by an exceptional one
+        d = IntervalDecomposition(
+            intervals=tuple((float(j), j + 1.0) for j in range(5)), masses=(0.5,) * 5, eta=0.5,
+            flags=(UNEXCEPTIONAL, UNEXCEPTIONAL, EXCEPTIONAL, UNEXCEPTIONAL, UNEXCEPTIONAL), classified=True,
+        )
+        sel = recursive_select(d, PERMISSIVE)
+        assert sel.chain == (0,) and sel.t_star == 0.5 and sel.window_spans == (2.0,)
+
     def test_rejects_no_unexceptional(self):
         d = IntervalDecomposition(
             intervals=((0.0, 1.0),), masses=(0.5,), eta=0.5, flags=(EXCEPTIONAL,), classified=True,
@@ -228,6 +317,18 @@ class TestRecursiveSelect:
         a = recursive_select(d, PERMISSIVE)
         b = recursive_select(d, PERMISSIVE)
         assert a == b
+
+    @pytest.mark.parametrize("case", sorted(PINNED_SELECTIONS))
+    def test_pinned_results(self, case):
+        # recorded from the set-based selection: the array rewrite must reproduce every field bit for bit
+        seed, J, removal_span = case
+        rng = np.random.default_rng(seed)
+        d = synthetic_decomposition(rng, J, float(rng.uniform(0.05, 0.9)), float(rng.uniform(2, 2000)),
+                                    float(rng.uniform(0.0, 0.5)))
+        sel = recursive_select(d, PINNED_CONSTANTS[seed % 3], removal_span=removal_span)
+        chain, t_star, dist_ratios, window_spans = PINNED_SELECTIONS[case]
+        assert (sel.chain, sel.K, sel.t_star, sel.dist_ratios, sel.window_spans) == (
+            chain, len(chain), t_star, dist_ratios, window_spans)
 
 
 class TestBruteForce:
@@ -392,12 +493,46 @@ class TestLinearFlowFloor:
             linear_flow_floor(traj, d, 1)
 
 
+GOOD_DECOMP = {"intervals": ((0.0, 1.0), (1.0, 3.0)), "masses": (0.5, 0.2), "eta": 0.5,
+               "flags": (UNEXCEPTIONAL, TAIL)}
+
+
+class TestDecompositionRules:
+    @pytest.mark.parametrize("change", [
+        {"intervals": (), "masses": (), "flags": ()},
+        {"masses": (0.5,)},
+        {"flags": (UNEXCEPTIONAL,)},
+        {"intervals": ((0.0, 1.0), (1.0, 1.0))},
+        {"intervals": ((0.0, 1.0), (1.1, 3.0))},
+        {"intervals": ((0.0, 1.0), (math.nan, 3.0))},
+        {"flags": (TAIL, UNEXCEPTIONAL)},
+        {"flags": (TAIL, TAIL)},
+        {"flags": ("good", TAIL)},
+        {"eta": 0.0}, {"eta": -0.5}, {"eta": math.inf}, {"eta": math.nan},
+        {"masses": (-0.5, 0.2)}, {"masses": (math.nan, 0.2)}, {"masses": (0.5, math.inf)},
+        {"linear_masses": ((0.1, 0.2),)},
+    ])
+    def test_rejects(self, change):
+        with pytest.raises(ValueError):
+            IntervalDecomposition(**{**GOOD_DECOMP, **change})
+
+    def test_holds_read_only_copies_of_endpoints_as_given(self):
+        # endpoints that meet within the 1e-9 tolerance keep their exact lengths
+        intervals = np.array([[0.0, 1.0], [1.0 + 1e-10, 3.0]])
+        d = IntervalDecomposition(intervals, GOOD_DECOMP["masses"], 0.5, GOOD_DECOMP["flags"])
+        assert d.lengths().tolist() == [1.0, 3.0 - (1.0 + 1e-10)] and d.span == (0.0, 3.0)
+        assert d.indices(TAIL) == [1] and d.indices(EXCEPTIONAL) == []
+        assert intervals.flags.writeable and not any(a.flags.writeable for a in (d.intervals, d.masses, d.flags))
+        assert d != IntervalDecomposition(**GOOD_DECOMP)
+        assert dataclasses.replace(d, intervals=GOOD_DECOMP["intervals"]) == IntervalDecomposition(**GOOD_DECOMP)
+
+
 class TestSerialization:
     def test_json_round_trip(self):
         rng = np.random.default_rng(61)
         d = synthetic_decomposition(rng, 30, 0.2)
         d2 = IntervalDecomposition.from_json(d.to_json())
-        assert d2.intervals == d.intervals and d2.flags == d.flags and d2.eta == d.eta
+        assert np.array_equal(d2.intervals, d.intervals) and np.array_equal(d2.flags, d.flags) and d2.eta == d.eta
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), J=st.integers(1, 80), eta=st.floats(1e-9, 1e3),
