@@ -312,99 +312,105 @@ def bootstrap_monitor(traj, mode: str, params: dict, constants: ProofConstants):
     T(u,[0,T]) (three components) against params log_M0 and the slow-growth
     ceiling.  Each sweep record carries the functional value, every
     ceiling, and the first violated link, as one JSON-able dict.
+
+    The greedy cut of [0, T_m] into intervals of L15 mass eps is a prefix
+    of the cut of the whole run, so the run is cut once and each record
+    reads its prefix.  Only a record's last cut is its own: the cut of
+    [0, T_m] stops at T_m, which the run's cut passes where n * quantum
+    rounds above cum_s15[m].
     """
     if mode not in ("theorem1", "corollary"):
         raise ValueError(f"unknown mode {mode!r}")
     times = traj.times
     d = traj.densities
+    C, Ct = constants.C, constants.C_tilde
     if mode == "theorem1":
         if np.isnan(d["H_sc_plus1"]).any():
             raise ValueError("trajectory has non-finite cached H_sc_plus1 norms")
-        grad_orders = (S_CRITICAL, S_CRITICAL + 1.0)
-    else:
-        grad_orders = (S_CRITICAL,)
-    grads = _component_series(traj, grad_orders)
-    cum_s15 = fn.cumulative_series_integral(times, d["s_density"])
-    cum_g = {s: fn.cumulative_series_integral(times, grads[s] ** (10.0 / 3.0)) for s in grad_orders}
-
-    C, Ct = constants.C, constants.C_tilde
-    eps = 1.0 / (4.0 * Ct) if mode == "theorem1" else 1.0 / (2.0 * Ct)
-    quantum = eps ** 2.5  # interval cut: ||u||_L15(I)^6 = eps, i.e. integral of s_density = eps^(5/2)
-
-    if mode == "theorem1":
+        grad_orders, eps = (S_CRITICAL, S_CRITICAL + 1.0), 1.0 / (4.0 * Ct)
         log_R0 = params["log_R0"]
         interp_log = _interp_ceiling_log(params["delta"], params["E0"], math.log(2.0) + log_R0)
         m_ceiling = params["m_ceiling"]
+        sup_p1 = np.maximum.accumulate(d["H_sc_plus1"])
     else:
+        grad_orders, eps = (S_CRITICAL,), 1.0 / (2.0 * Ct)
         log_M0 = params["log_M0"]
         m_ceiling = _corollary_count(log_M0, constants)
+    grads = _component_series(traj, grad_orders)
+    cum_s15 = fn.cumulative_series_integral(times, d["s_density"])
+    cum_g = {s: fn.cumulative_series_integral(times, grads[s] ** (10.0 / 3.0)) for s in grad_orders}
+    quantum = eps ** 2.5  # interval cut: ||u||_L15(I)^6 = eps, i.e. integral of s_density = eps^(5/2)
+    sup_hsc = np.maximum.accumulate(d["H_sc"])
 
-    def functional_log(m):
-        sup_hsc = d["H_sc"][: m + 1].max()
-        s15 = cum_s15[m] ** (1.0 / 15.0)
-        g_sc = cum_g[S_CRITICAL][m] ** (0.3)
-        total = sup_hsc + s15 + g_sc
-        if mode == "theorem1":
-            total += d["H_sc_plus1"][: m + 1].max() + cum_g[S_CRITICAL + 1.0][m] ** (0.3)
-        return total
-
-    records = []
+    records, counts = [], []
     for m in range(1, times.size):
-        val = functional_log(m)
+        # scalar powers, in this order: NumPy's array ** can round differently from pow
+        s15 = cum_s15[m] ** (1.0 / 15.0)
+        val = sup_hsc[m] + s15 + cum_g[S_CRITICAL][m] ** 0.3
         violated = None
-        sup_hsc = float(d["H_sc"][: m + 1].max())
         if mode == "theorem1":
+            val += sup_p1[m] + cum_g[S_CRITICAL + 1.0][m] ** 0.3
             if math.log(max(val, 1e-300)) > log_R0:
                 violated = "S(u,T) <= R0"
-            elif math.log(max(sup_hsc, 1e-300)) > interp_log:
+            elif math.log(max(sup_hsc[m], 1e-300)) > interp_log:
                 violated = "interpolation ceiling"
-        else:
-            if math.log(max(val, 1e-300)) > params["log_M0"]:
-                violated = "T(u,T) <= M0"
-            else:
-                s15 = float(cum_s15[m] ** (1.0 / 15.0))
-                if s15 > math.e and sup_hsc > slow_growth_g(s15, C):
-                    violated = "slow-growth hypothesis"
+        elif math.log(max(val, 1e-300)) > log_M0:
+            violated = "T(u,T) <= M0"
+        elif s15 > math.e and sup_hsc[m] > slow_growth_g(s15, C):
+            violated = "slow-growth hypothesis"
         total_mass = float(cum_s15[m])
         n_full = int(total_mass / quantum)
         m_count = n_full + (1 if total_mass - n_full * quantum > 1e-12 * quantum else 0)
         if violated is None and m_count > m_ceiling:
             violated = "partition count"
-        doubling = None
-        if violated is None and n_full >= 2:
-            cuts = np.interp(np.arange(n_full + 1) * quantum, cum_s15[: m + 1], times[: m + 1])
-            # frames inside [a - 1e-12, b + 1e-12] of each interval, and its two integrals
-            lo = np.searchsorted(times, cuts[:-1] - 1e-12, "left").tolist()
-            hi = np.searchsorted(times, cuts[1:] + 1e-12, "right").tolist()
-            c15 = np.interp(cuts, times, cum_s15)
-            cg = np.interp(cuts, times, cum_g[S_CRITICAL])
-            int15 = (c15[1:] - c15[:-1]).tolist()
-            intg = (cg[1:] - cg[:-1]).tolist()
-            prev = None
-            for j in range(n_full):
-                if hi[j] <= lo[j]:
-                    continue
-                s_j = float(d["H_sc"][lo[j]:hi[j]].max())
-                s_j += int15[j] ** (1.0 / 15.0)
-                s_j += intg[j] ** 0.3
-                if prev is not None:
-                    ratio = s_j / max(prev, 1e-300)
-                    doubling = max(doubling or 0.0, ratio)
-                    if ratio > 2.0 * Ct:
-                        violated = "per-interval doubling"
-                        break
-                prev = s_j
         records.append({
             "T": float(times[m]),
             "functional": float(val),
-            "sup_Hsc": sup_hsc,
+            "sup_Hsc": float(sup_hsc[m]),
             "interval_count": m_count,
             "m_ceiling": float(m_ceiling),
-            "max_doubling_ratio": doubling,
+            "max_doubling_ratio": None,
             "violated": violated,
         })
+        counts.append(n_full)
         if violated is not None:
             break
+
+    # per-interval doubling, on the run's cut as far as the last record that reaches this link
+    reach = [i for i, rec in enumerate(records) if rec["violated"] is None and counts[i] >= 2]
+    if not reach:
+        return records
+
+    def interval_s(a, b):
+        """S-value of [a, b] from the frames within 1e-12 of it and its two integrals; None without a frame."""
+        lo, hi = np.searchsorted(times, a - 1e-12, "left"), np.searchsorted(times, b + 1e-12, "right")
+        if hi <= lo:
+            return None
+        i15 = fn.series_integral_between(times, cum_s15, a, b)
+        ig = fn.series_integral_between(times, cum_g[S_CRITICAL], a, b)
+        return float(d["H_sc"][lo:hi].max()) + i15 ** (1.0 / 15.0) + ig ** 0.3
+
+    cuts = np.interp(np.arange(counts[reach[-1]] + 1) * quantum, cum_s15, times)
+    held = np.flatnonzero(np.searchsorted(times, cuts[1:] + 1e-12, "right")
+                          > np.searchsorted(times, cuts[:-1] - 1e-12, "left"))
+    s_held = [interval_s(cuts[j], cuts[j + 1]) for j in held]
+    ratios = np.divide(s_held[1:], np.maximum(s_held[:-1], 1e-300))  # ratios[k - 1]: held k over held k - 1
+    running = np.maximum.accumulate(ratios)
+    first_broken = next(iter(np.flatnonzero(ratios > 2.0 * Ct)), ratios.size)
+    for i in reach:
+        m, n = i + 1, counts[i]
+        c = int(np.searchsorted(held, n - 1))  # held intervals before the record's last one
+        last = min(c - 2, first_broken)  # the record's last shared link
+        doubling = float(running[last]) if last >= 0 else None
+        # the record's own last interval, whose cut stops at T_m
+        s = interval_s(cuts[n - 1], min(cuts[n], times[m])) if c and last < first_broken else None
+        if s is not None:
+            ratio = s / max(s_held[c - 1], 1e-300)
+            doubling = max(doubling or 0.0, ratio)
+        records[i]["max_doubling_ratio"] = doubling
+        if last == first_broken or (s is not None and ratio > 2.0 * Ct):
+            records[i]["violated"] = "per-interval doubling"
+            return records[: i + 1]
     return records
 
 

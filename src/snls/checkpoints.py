@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .evolve import _DENSITY_KEYS
 from .radial import _FRAME_BLOCK, RadialField, RadialGrid
 
 __all__ = [
@@ -42,9 +43,8 @@ MAGIC = b"SNLS"
 VERSION = 1
 _HEADER = struct.Struct("<4sIQd")
 
+# t, then one column per key of evolve._DENSITY_KEYS
 DENSITY_CSV_COLUMNS = ("t", "mass", "energy", "Hsc", "Hsc_md", "Hsc_p1", "s_density", "boundary_mass")
-# the density key of each CSV column after t
-_CSV_DENSITIES = ("mass", "energy", "H_sc", "H_sc_minus", "H_sc_plus1", "s_density", "boundary_mass")
 
 
 def _atomic_write_bytes(path, payload: bytes) -> None:
@@ -175,7 +175,7 @@ def density_csv_header() -> str:
 
 
 def density_csv_row(t: float, stats: dict) -> str:
-    return ",".join(repr(float(v)) for v in (t, *(stats[k] for k in _CSV_DENSITIES)))
+    return ",".join(repr(float(v)) for v in (t, *(stats[k] for k in _DENSITY_KEYS)))
 
 
 def density_csv_text(times, densities: dict) -> str:
@@ -196,4 +196,4 @@ def read_density_csv(path) -> tuple[np.ndarray, dict]:
         raise ValueError(f"{path}: not a header followed by whole rows")
     cols = np.array([[float(v) for v in r] for r in rows], dtype=float).reshape(-1, len(DENSITY_CSV_COLUMNS))
     cols = np.ascontiguousarray(cols.T)  # one contiguous series per column
-    return cols[0], dict(zip(_CSV_DENSITIES, cols[1:]))
+    return cols[0], dict(zip(_DENSITY_KEYS, cols[1:]))

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import functionals as fn
 from .radial import (
-    _FRAME_BLOCK, RadialField, RadialGrid, SpectralField, _block_rows, _dst1, _lp_rows, _sobolev2_rows,
+    _FRAME_BLOCK, RadialField, RadialGrid, SpectralField, _block_rows, _dst1, _sobolev2_rows,
     _spectral_rows, _volume_rows, from_spectral, to_spectral,
 )
 
@@ -64,8 +64,8 @@ class StepController:
 class Trajectory:
     """Time-stamped frames plus cached per-frame scalar densities.
 
-    densities keys: mass, energy, s_density (||u||_L15^15), H_sc_minus,
-    H_sc, H_sc_plus1, boundary_mass, sup_abs.
+    densities keys: mass, energy, H_sc, H_sc_minus, H_sc_plus1,
+    s_density (||u||_L15^15), boundary_mass.
     Immutable after a run; safe to share read-only across workers.
     frames is taken without a copy: loaded from a run directory it is a
     read-only, row-strided view of the mapped frame log (each row is
@@ -151,7 +151,8 @@ def strang_step(field: RadialField, dt: float) -> RadialField:
     return u
 
 
-_DENSITY_KEYS = ("mass", "energy", "s_density", "H_sc_minus", "H_sc", "H_sc_plus1", "boundary_mass", "sup_abs")
+# the cached per-frame densities, in densities.csv column order
+_DENSITY_KEYS = ("mass", "energy", "H_sc", "H_sc_minus", "H_sc_plus1", "s_density", "boundary_mass")
 
 
 def _frame_stats(u: np.ndarray, grid: RadialGrid, ctl: StepController) -> list:
@@ -163,8 +164,8 @@ def _frame_stats(u: np.ndarray, grid: RadialGrid, ctl: StepController) -> list:
     orders = (0.0, 1.0, S_CRITICAL - ctl.sobolev_delta, S_CRITICAL, S_CRITICAL + 1.0)
     m, grad2, h_minus, h_sc, h_plus = _sobolev2_rows(u, grid, orders)
     outer = grid.nodes > 0.9 * grid.r_max  # boundary shell watched for domain truncation
-    return [m, fn._energy_rows(u, grid, grad2), fn._s_density_rows(u, grid), np.sqrt(h_minus), np.sqrt(h_sc),
-            np.sqrt(h_plus), _volume_rows(np.where(outer, np.abs(u) ** 2, 0.0), grid), _lp_rows(u, grid, np.inf)]
+    return [m, fn._energy_rows(u, grid, grad2), np.sqrt(h_sc), np.sqrt(h_minus), np.sqrt(h_plus),
+            fn._s_density_rows(u, grid), _volume_rows(np.where(outer, np.abs(u) ** 2, 0.0), grid)]
 
 
 def _trajectory(grid, times, frames, ctl: StepController, provenance: dict, status: str = "ok",
@@ -433,9 +434,7 @@ def _stored_stats(grid: RadialGrid, times: np.ndarray, frames: np.ndarray, ctl: 
     belong to the frames when it has a row for every frame, its times equal
     the frame times bit for bit, and a fresh _frame_stats of the last frame
     equals that frame's row bit for bit (a CSV of another config or formula
-    fails there).  An edited earlier row goes unseen.  sup_abs is no CSV
-    column, so it comes from the frames by _frame_stats's own expression,
-    which needs no transform.
+    fails there).  An edited earlier row goes unseen.
     """
     if stored is None:
         return None
@@ -443,11 +442,11 @@ def _stored_stats(grid: RadialGrid, times: np.ndarray, frames: np.ndarray, ctl: 
     f = len(times)
     if csv_times[:f].tobytes() != np.asarray(times, dtype=float).tobytes():  # also unequal when rows are missing
         return None
-    rows = [csv[k][:f] for k in _DENSITY_KEYS[:-1]]  # every key but sup_abs, in _frame_stats order
+    rows = [csv[k][:f] for k in _DENSITY_KEYS]
     last = _frame_stats(frames[f - 1:f], grid, ctl)
     if any(row[-1:].tobytes() != fresh.tobytes() for row, fresh in zip(rows, last)):
         return None
-    return rows + [_block_rows(frames, _lp_rows, grid, np.inf)]
+    return rows
 
 
 def rebuild_trajectory(

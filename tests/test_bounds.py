@@ -1,10 +1,12 @@
 """Explicit formula evaluations and continuity-argument bookkeeping."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from snls.bounds import (
     absorb_check,
@@ -22,11 +24,55 @@ from snls import functionals as fn
 from snls.bounds import _component_series
 from snls.evolve import StepController, evolve
 from snls.intervals import ProofConstants
-from snls.radial import RadialField
+from snls.radial import RadialField, RadialGrid
 
 from conftest import gaussian_field
 
 CONST = ProofConstants()
+T1_PASSING = {"log_R0": 50.0, "delta": 0.5, "E0": 10.0, "m_ceiling": 1e9}
+
+
+@functools.lru_cache(maxsize=None)
+def _doubling_run():
+    """A run whose S-values double between early intervals once C_tilde is small."""
+    ctl = StepController(dt_max=0.005, snapshot_stride=0.01)
+    return evolve(gaussian_field(RadialGrid(20.0, 255), amplitude=1.5), (0.0, 0.3), ctl)
+
+
+def _scalar_doubling(traj, mode, C_tilde):
+    """(max doubling ratio, broken, cut count) per record, cutting each [0, T_m] afresh.
+
+    One scalar np.interp per cut and a boolean mask per interval; the chain
+    stops at the first ratio above 2 C_tilde.
+    """
+    times, d = traj.times, traj.densities
+    cum_s15 = fn.cumulative_series_integral(times, d["s_density"])
+    grads = _component_series(traj, (7.0 / 6.0,))[7.0 / 6.0]
+    cum_g = fn.cumulative_series_integral(times, grads ** (10.0 / 3.0))
+    quantum = (1.0 / ((4.0 if mode == "theorem1" else 2.0) * C_tilde)) ** 2.5
+    out = []
+    for m in range(1, times.size):
+        n_full = int(float(cum_s15[m]) / quantum)
+        doubling, broken = None, False
+        if n_full >= 2:
+            cuts = [float(np.interp(k * quantum, cum_s15[: m + 1], times[: m + 1])) for k in range(n_full + 1)]
+            prev = None
+            for a, b in zip(cuts, cuts[1:]):
+                sel = (times >= a - 1e-12) & (times <= b + 1e-12)
+                if sel.sum() < 1:
+                    continue
+                s_j = float(d["H_sc"][sel].max())
+                s_j += fn.series_integral_between(times, cum_s15, a, b) ** (1.0 / 15.0)
+                s_j += fn.series_integral_between(times, cum_g, a, b) ** 0.3
+                if prev is not None:
+                    ratio = s_j / max(prev, 1e-300)
+                    doubling = max(doubling or 0.0, ratio)
+                    if ratio > 2.0 * C_tilde:
+                        broken = True
+                        break
+                prev = s_j
+        out.append((doubling, broken, n_full))
+    return out
 
 
 class TestEta:
@@ -248,39 +294,82 @@ class TestBootstrapMonitor:
         assert records[-1]["violated"] == "S(u,T) <= R0"
 
     def test_doubling_ratios_match_scalar_cut_loop(self, grid_small):
-        # reference: one scalar np.interp per cut and a full boolean mask per interval
         ctl = StepController(dt_max=0.005, snapshot_stride=0.01)
         traj = evolve(gaussian_field(grid_small, amplitude=1.0), (0.0, 0.3), ctl)
-        records = bootstrap_monitor(
-            traj, "theorem1", {"log_R0": 50.0, "delta": 0.5, "E0": 10.0, "m_ceiling": 1e9}, CONST,
-        )
-        times, d = traj.times, traj.densities
-        cum_s15 = fn.cumulative_series_integral(times, d["s_density"])
-        grads = _component_series(traj, (7.0 / 6.0,))[7.0 / 6.0]
-        cum_g = fn.cumulative_series_integral(times, grads ** (10.0 / 3.0))
+        records = bootstrap_monitor(traj, "theorem1", T1_PASSING, CONST)
+        reference = _scalar_doubling(traj, "theorem1", CONST.C_tilde)
+        assert len(records) == traj.times.size - 1
+        assert [r["max_doubling_ratio"] for r in records] == [doubling for doubling, _, _ in reference]
+        assert all(r["violated"] is None for r in records)
+        assert max(n for _, _, n in reference) > 100
+
+    # at C_tilde = 0.2 the broken link is a record's last interval, at 0.5 (theorem1) one before it
+    @pytest.mark.parametrize("mode, C_tilde", [("theorem1", 0.2), ("theorem1", 0.5), ("corollary", 0.5)])
+    def test_doubling_link_fires_where_scalar_cut_loop_breaks(self, mode, C_tilde):
+        traj = _doubling_run()
+        const = ProofConstants(C_tilde=C_tilde)
+        params = T1_PASSING if mode == "theorem1" else {"log_M0": 1e6}
+        records = bootstrap_monitor(traj, mode, params, const)
+        reference = _scalar_doubling(traj, mode, const.C_tilde)
+        stop = next(m for m, (_, broken, _) in enumerate(reference) if broken)
+        assert len(records) == stop + 1
+        assert [r["violated"] for r in records] == [None] * stop + ["per-interval doubling"]
+        assert [r["max_doubling_ratio"] for r in records] == [doubling for doubling, _, _ in reference[: stop + 1]]
+        if C_tilde == 0.2:
+            assert len(records) == 4 and records[-1]["interval_count"] == 3
+
+    def test_last_cut_clamped_at_T(self, grid_small):
+        # cum_s15 at frame 1 sits one ulp below 9 quanta, where int(mass / quantum) = 9 but 9 * quantum
+        # rounds above the mass: the cut of [0, T_1] clamps its last cut at T_1, which the cut of the
+        # whole run passes, since the density is nearly flat just after frame 1
         quantum = (1.0 / (4.0 * CONST.C_tilde)) ** 2.5
-        assert len(records) == times.size - 1
-        n_cuts = []
-        for m, rec in zip(range(1, times.size), records):
-            n_full = int(float(cum_s15[m]) / quantum)
-            doubling = None
-            if n_full >= 2:
-                cuts = [float(np.interp(k * quantum, cum_s15[: m + 1], times[: m + 1])) for k in range(n_full + 1)]
-                prev = None
-                for a, b in zip(cuts, cuts[1:]):
-                    sel = (times >= a - 1e-12) & (times <= b + 1e-12)
-                    if sel.sum() < 1:
-                        continue
-                    s_j = float(d["H_sc"][sel].max())
-                    s_j += fn.series_integral_between(times, cum_s15, a, b) ** (1.0 / 15.0)
-                    s_j += fn.series_integral_between(times, cum_g, a, b) ** 0.3
-                    if prev is not None:
-                        doubling = max(doubling or 0.0, s_j / max(prev, 1e-300))
-                    prev = s_j
-            n_cuts.append(n_full)
-            assert rec["violated"] is None
-            assert rec["max_doubling_ratio"] == doubling
-        assert max(n_cuts) > 100
+        mass = float(np.nextafter(9 * quantum, 0.0))
+        assert int(mass / quantum) == 9 and 9 * quantum > mass
+        ctl = StepController(dt_max=0.01, snapshot_stride=0.05)
+        traj = evolve(gaussian_field(grid_small, amplitude=1.0), (0.0, 0.2), ctl)
+        s_density = np.full(traj.times.size, 1e-12)
+        s_density[:2] = (2.0 * mass, 0.0)
+        traj = dataclasses.replace(traj, times=np.arange(traj.times.size, dtype=float),
+                                   densities={**traj.densities, "s_density": s_density})
+        assert fn.cumulative_series_integral(traj.times, s_density)[1] == mass
+        records = bootstrap_monitor(traj, "theorem1", T1_PASSING, CONST)
+        reference = _scalar_doubling(traj, "theorem1", CONST.C_tilde)
+        assert records[0]["interval_count"] == 9
+        assert [r["max_doubling_ratio"] for r in records] == [doubling for doubling, _, _ in reference]
+
+    @pytest.mark.parametrize("mode, params, link", [
+        ("theorem1", {"log_R0": 50.0, "delta": 1e-3, "E0": 1.0, "m_ceiling": 1e9}, "interpolation ceiling"),
+        ("theorem1", {"log_R0": 50.0, "delta": 0.5, "E0": 10.0, "m_ceiling": 300.0}, "partition count"),
+        ("corollary", {"log_M0": 50.0}, "partition count"),
+        ("corollary", {"log_M0": 1.0}, "T(u,T) <= M0"),
+    ])
+    def test_each_link_stops_the_sweep(self, mode, params, link):
+        records = bootstrap_monitor(_doubling_run(), mode, params, CONST)
+        assert [r["violated"] for r in records] == [None] * (len(records) - 1) + [link]
+        assert records[-1]["max_doubling_ratio"] is None
+
+    def test_slow_growth_hypothesis(self, grid_small):
+        # an L15 norm above e brings g into play, and the gaussian's Hsc norm lies above g there
+        ctl = StepController(dt_max=0.01, snapshot_stride=0.05)
+        traj = evolve(gaussian_field(grid_small, amplitude=1.0), (0.0, 0.2), ctl)
+        s_density = np.full(traj.times.size, 1e12)
+        traj = dataclasses.replace(traj, densities={**traj.densities, "s_density": s_density})
+        records = bootstrap_monitor(traj, "corollary", {"log_M0": 50.0}, CONST)
+        assert len(records) == 1 and records[0]["violated"] == "slow-growth hypothesis"
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_records_read_their_prefix(self, data):
+        # the records of the first m+1 frames are the first m records of the whole run
+        traj = _doubling_run()
+        mode = data.draw(st.sampled_from(["theorem1", "corollary"]))
+        const = ProofConstants(C_tilde=data.draw(st.sampled_from([8.0, 2.0, 1.0, 0.5, 0.2])))
+        params = T1_PASSING if mode == "theorem1" else {"log_M0": 1e6}
+        m = data.draw(st.integers(1, traj.times.size - 1))
+        prefix = dataclasses.replace(traj, times=traj.times[: m + 1], frames=traj.frames[: m + 1],
+                                     densities={k: v[: m + 1] for k, v in traj.densities.items()})
+        whole = bootstrap_monitor(traj, mode, params, const)
+        assert bootstrap_monitor(prefix, mode, params, const) == whole[:m]
 
     def test_missing_cached_norms_rejected(self, grid_small):
         ctl = StepController(dt_max=0.01, snapshot_stride=0.05)

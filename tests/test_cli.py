@@ -397,6 +397,13 @@ class TestCommands:
         assert sorted(report["counts"]) == ["B", "G", "J", "tail"]
         assert sorted(report["reintegration"]) == ["rel_err", "sum_masses", "total", "two_J_eta"]
 
+    def test_diagnose_writes_the_sorted_indented_report(self, tmp_path):
+        run_dir = _simulated_run(tmp_path)
+        cfg, traj = load_run(run_dir)
+        report = diagnose_trajectory(traj, cfg.proof_constants(), cfg.e_mode, cfg.e_declared)
+        assert main(["diagnose", str(run_dir)]) == EXIT_OK
+        assert (run_dir / "diagnose.json").read_text() == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
     def test_select_geometric_instance(self, tmp_path, capsys):
         lengths = [2.0**-k for k in range(20)]
         cuts = np.concatenate(([0.0], np.cumsum(lengths)))
