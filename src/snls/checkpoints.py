@@ -108,7 +108,7 @@ class TrajectoryFrameWriter:
     def append(self, t: float, values: np.ndarray) -> None:
         self._record["t"] = t
         self._record["u"] = values
-        self._f.write(self._record.tobytes())
+        self._f.write(self._record)  # its buffer: the record's bytes, not a copy
         self._flush()
 
     def _flush(self):

@@ -49,11 +49,16 @@ def _load_constants(args, cfg: RunConfig | None = None) -> iv.ProofConstants:
 
 
 def run_simulation(cfg: RunConfig, out_dir: Path, resume: bool = False) -> tuple[Trajectory, int]:
-    """Run one cell, streaming crash-safe outputs into out_dir."""
+    """Run one cell, streaming crash-safe outputs into out_dir.
+
+    checkpoint.snls is written once, when the run ends (an abort or an
+    exception included), as the frame log's last record.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = out_dir / "manifest.json"
     frames_path = out_dir / "frames.snls"
     csv_path = out_dir / "densities.csv"
+    checkpoint_path = out_dir / "checkpoint.snls"
     ctl = cfg.controller()
     grid = cfg.grid()
     t_a, t_b = cfg.t_span
@@ -92,14 +97,17 @@ def run_simulation(cfg: RunConfig, out_dir: Path, resume: bool = False) -> tuple
     csv_f = open(csv_path, "a" if append else "w")
     if not append:
         csv_f.write(ckpt.density_csv_header() + "\n")
+        checkpoint_path.unlink(missing_ok=True)  # a stale checkpoint is not the fresh log's last record
+    last = u_start if append else None  # the log's last record, written to checkpoint.snls once the run ends
 
     def on_frame(t, field, stats):
+        nonlocal last
         if append and t <= t_start + 1e-12 * max(1.0, abs(t_start)):
             return  # initial frame of a resumed segment is already on disk
         writer.append(t, field.values)
         csv_f.write(ckpt.density_csv_row(t, stats) + "\n")
         csv_f.flush()
-        ckpt.write_field(out_dir / "checkpoint.snls", field)
+        last = field
 
     telemetry, status = None, "ok"  # as they stay when a resumed run was already complete
     try:
@@ -110,6 +118,8 @@ def run_simulation(cfg: RunConfig, out_dir: Path, resume: bool = False) -> tuple
     finally:
         writer.close()
         csv_f.close()
+        if last is not None:
+            ckpt.write_field(checkpoint_path, last)
     if append:  # a resumed run's trajectory is its whole frame log, with the prefix's rows and evolve's in the CSV
         traj = rebuild_trajectory(*ckpt.read_trajectory_frames(frames_path), ctl, provenance={"config": cfg.to_dict()},
                                   status=status, stored=_stored_densities(csv_path))
@@ -282,7 +292,8 @@ def _cmd_bounds(args) -> int:
         with open(trail, "w") as f:
             for rec in records:
                 f.write(json.dumps(rec, sort_keys=True) + "\n")
-        print(f"bootstrap monitor: {len(records)} records -> {trail}", file=sys.stderr)
+        vacuous = "" if plan.closed else f"; plan not closed ({plan.failure}): every ceiling in the trail is vacuous"
+        print(f"bootstrap monitor: {len(records)} records -> {trail}{vacuous}", file=sys.stderr)
     return EXIT_OK
 
 

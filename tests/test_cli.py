@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import importlib
 import io
+import itertools
 import json
 import math
 import re
@@ -314,6 +315,110 @@ class TestSimulate:
         assert np.all(traj.densities["s_density"] == 0.0)
 
 
+class TestCheckpointWrittenOnce:
+    """checkpoint.snls is written once, when run_simulation ends, as the last record of frames.snls."""
+
+    HEADER = TestFrameLog.HEADER
+
+    @classmethod
+    def _assert_checkpoint_is_last_record(cls, run_dir):
+        grid, _, frames = read_trajectory_frames(run_dir / "frames.snls")
+        raw = (run_dir / "frames.snls").read_bytes()
+        rec = 8 + 16 * grid.n
+        k = (len(raw) - cls.HEADER) // rec
+        assert k >= 1
+        last = raw[cls.HEADER + (k - 1) * rec + 8:cls.HEADER + k * rec]
+        assert (run_dir / "checkpoint.snls").read_bytes() == raw[:cls.HEADER] + last
+        field = read_field(run_dir / "checkpoint.snls")
+        assert field.grid == grid and np.array_equal(field.values, frames[-1])
+
+    @staticmethod
+    def _evolve_raising_after(monkeypatch, k):
+        """Patch the evolve run_simulation calls to raise once it has stored k frames."""
+        cli = importlib.import_module("snls.cli")
+        real = cli.evolve
+
+        def patched(*args, on_frame, **kwargs):
+            stored = itertools.count(1)
+
+            def counted(t, field, stats):
+                on_frame(t, field, stats)
+                if next(stored) == k:
+                    raise RuntimeError(f"stopped after {k} frames")
+
+            if k == 0:
+                raise RuntimeError("stopped before any frame")
+            return real(*args, on_frame=counted, **kwargs)
+
+        monkeypatch.setattr(cli, "evolve", patched)
+
+    def test_written_once_per_run(self, tmp_path, monkeypatch):
+        checkpoints = importlib.import_module("snls.checkpoints")
+        real, calls = checkpoints.write_field, []
+
+        def counted(path, field):
+            calls.append(path)
+            return real(path, field)
+
+        monkeypatch.setattr(checkpoints, "write_field", counted)
+        cfg = RunConfig.from_dict(FAST)
+        traj, code = run_simulation(cfg, tmp_path / "run")
+        assert code == EXIT_OK and traj.times.size == 11
+        assert calls == [tmp_path / "run" / "checkpoint.snls"]
+        truncate_trajectory_frames(tmp_path / "run" / "frames.snls", 4)
+        run_simulation(cfg, tmp_path / "run", resume=True)
+        assert len(calls) == 2
+
+    def test_clean_run(self, tmp_path):
+        assert run_simulation(RunConfig.from_dict(FAST), tmp_path / "run")[1] == EXIT_OK
+        self._assert_checkpoint_is_last_record(tmp_path / "run")
+
+    def test_blowup_abort(self, tmp_path):
+        # the chirped gaussian focuses: sup|u| passes the ceiling after five stored frames
+        cfg = RunConfig.from_dict({**FAST, "chirp": -1.0, "blowup_ceiling": 1.57})
+        traj, code = run_simulation(cfg, tmp_path / "run")
+        assert code == EXIT_BLOWUP and traj.status == "blowup_abort" and traj.times.size == 5
+        self._assert_checkpoint_is_last_record(tmp_path / "run")
+
+    def test_exception_after_third_frame(self, tmp_path, monkeypatch):
+        self._evolve_raising_after(monkeypatch, 3)
+        with pytest.raises(RuntimeError, match="after 3 frames"):
+            run_simulation(RunConfig.from_dict(FAST), tmp_path / "run")
+        assert read_trajectory_frames(tmp_path / "run" / "frames.snls")[1].size == 3
+        self._assert_checkpoint_is_last_record(tmp_path / "run")
+
+    def test_resume_of_log_cut_mid_record(self, tmp_path):
+        cfg = RunConfig.from_dict(FAST)
+        run_simulation(cfg, tmp_path / "full")
+        run_simulation(cfg, tmp_path / "cut")
+        log = tmp_path / "cut" / "frames.snls"
+        rec = 8 + 16 * cfg.n
+        log.write_bytes(log.read_bytes()[:self.HEADER + 4 * rec + rec // 2])
+        assert run_simulation(cfg, tmp_path / "cut", resume=True)[1] == EXIT_OK
+        self._assert_checkpoint_is_last_record(tmp_path / "cut")
+        for name in ("frames.snls", "checkpoint.snls"):
+            assert (tmp_path / "cut" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+
+    def test_resume_of_finished_run_restores_deleted_checkpoint(self, tmp_path):
+        cfg = RunConfig.from_dict(FAST)
+        run_simulation(cfg, tmp_path / "run")
+        saved = (tmp_path / "run" / "checkpoint.snls").read_bytes()
+        (tmp_path / "run" / "checkpoint.snls").unlink()
+        traj, code = run_simulation(cfg, tmp_path / "run", resume=True)
+        assert code == EXIT_OK and traj.times.size == 11
+        self._assert_checkpoint_is_last_record(tmp_path / "run")
+        assert (tmp_path / "run" / "checkpoint.snls").read_bytes() == saved
+
+    def test_fresh_run_unlinks_stale_checkpoint(self, tmp_path, monkeypatch):
+        run_simulation(RunConfig.from_dict({**FAST, "n": 64, "amplitude": 2.0}), tmp_path / "run")
+        assert (tmp_path / "run" / "checkpoint.snls").exists()
+        self._evolve_raising_after(monkeypatch, 0)
+        with pytest.raises(RuntimeError, match="before any frame"):
+            run_simulation(RunConfig.from_dict(FAST), tmp_path / "run")
+        assert not (tmp_path / "run" / "checkpoint.snls").exists()
+        assert read_trajectory_frames(tmp_path / "run" / "frames.snls")[1].size == 0
+
+
 class TestCommands:
     def test_simulate_then_diagnose(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path)
@@ -437,6 +542,19 @@ class TestCommands:
         for line in lines:
             rec = json.loads(line)
             assert rec["violated"] is None
+
+    @pytest.mark.parametrize("E, closed", [(1.0, True), (3.11, False)])
+    def test_bounds_monitor_flags_vacuous_trail(self, E, closed, tmp_path, capsys):
+        run_dir = _simulated_run(tmp_path, amplitude=0.3)
+        capsys.readouterr()
+        assert main(["bounds", "--E", str(E), "--delta", "1e-8", "--monitor", str(run_dir)]) == EXIT_OK
+        out, err = capsys.readouterr()
+        plan = json.loads(out)["plan"]
+        assert plan["closed"] is closed
+        trail = run_dir / "monitor.jsonl"
+        records = len(trail.read_text().splitlines())
+        flag = "" if closed else f"; plan not closed ({plan['failure']}): every ceiling in the trail is vacuous"
+        assert err == f"bootstrap monitor: {records} records -> {trail}{flag}\n"
 
     def test_sweep(self, tmp_path):
         spec = {
