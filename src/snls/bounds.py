@@ -383,12 +383,12 @@ def bootstrap_monitor(traj, mode: str, params: dict, constants: ProofConstants):
 
     def interval_s(a, b):
         """S-value of [a, b] from the frames within 1e-12 of it and its two integrals; None without a frame."""
-        lo, hi = np.searchsorted(times, a - 1e-12, "left"), np.searchsorted(times, b + 1e-12, "right")
-        if hi <= lo:
+        sel = fn._frames_in(times, a, b)
+        if sel.stop <= sel.start:
             return None
         i15 = fn.series_integral_between(times, cum_s15, a, b)
         ig = fn.series_integral_between(times, cum_g[S_CRITICAL], a, b)
-        return float(d["H_sc"][lo:hi].max()) + i15 ** (1.0 / 15.0) + ig ** 0.3
+        return float(d["H_sc"][sel].max()) + i15 ** (1.0 / 15.0) + ig ** 0.3
 
     cuts = np.interp(np.arange(counts[reach[-1]] + 1) * quantum, cum_s15, times)
     held = np.flatnonzero(np.searchsorted(times, cuts[1:] + 1e-12, "right")

@@ -30,14 +30,10 @@ __all__ = [
     "duhamel_residual",
     "duhamel_tail",
     "average_translate",
-    "StepOverflowError",
+    "linear_trajectory",
 ]
 
 S_CRITICAL = fn.S_CRITICAL
-
-
-class StepOverflowError(RuntimeError):
-    """Raised by strang_step when a step leaves non-finite samples; no caller catches it (evolve halves dt itself)."""
 
 
 @dataclass(frozen=True)
@@ -139,18 +135,6 @@ def nonlinear_phase(field: RadialField, dt: float) -> RadialField:
     return RadialField(field.grid, u * np.exp(-1j * np.abs(u) ** 6 * dt))
 
 
-def strang_step(field: RadialField, dt: float) -> RadialField:
-    """Second-order split step: half nonlinear phase, free flow, half phase."""
-    if dt == 0.0:
-        return field
-    u = nonlinear_phase(field, dt / 2.0)
-    u = free_evolve(u, dt)
-    u = nonlinear_phase(u, dt / 2.0)
-    if not u.is_finite():
-        raise StepOverflowError(f"non-finite samples after step dt = {dt}")
-    return u
-
-
 # the cached per-frame densities, in densities.csv column order
 _DENSITY_KEYS = ("mass", "energy", "H_sc", "H_sc_minus", "H_sc_plus1", "s_density", "boundary_mass")
 
@@ -229,6 +213,35 @@ def _modulus2(v: np.ndarray) -> np.ndarray:
     return q
 
 
+def _step(v: np.ndarray, q: np.ndarray, pending: float, dt: float, prop: np.ndarray, r: np.ndarray):
+    """The package's one Strang step, on raw samples: (w, |w|^2, max|w|^2), or None.
+
+    v (q = |v|^2) owes a half-phase of length pending, merged with the step's opening one; prop is
+    exp(-i rho^2 dt).  w owes its own closing half-phase dt/2; None when that would not be finite.
+    """
+    w = _rotate(v, q, pending + 0.5 * dt)
+    w *= r
+    c = _dst1(w)
+    c *= prop
+    w = _dst1(c)
+    w /= r
+    q_w = _modulus2(w)
+    qmax_w = float(q_w.max())
+    if not math.isfinite(qmax_w * qmax_w * qmax_w * (0.5 * dt)):
+        return None
+    return w, q_w, qmax_w
+
+
+def strang_step(field: RadialField, dt: float) -> RadialField:
+    """Second-order split step: half nonlinear phase, free flow, half phase; FloatingPointError if not finite."""
+    if dt == 0.0:
+        return field
+    g, u = field.grid, field.values
+    if (out := _step(u, _modulus2(u), 0.0, dt, _propagator(g, dt), g.nodes)) is None:
+        raise FloatingPointError(f"non-finite samples after step dt = {dt}")
+    return RadialField(g, _rotate(out[0], out[1], 0.5 * dt))
+
+
 def evolve(
     u0: RadialField,
     t_span,
@@ -245,7 +258,7 @@ def evolve(
     continues.  on_frame(t, field, stats), when given, fires at every
     stored frame including the initial one.
 
-    Steps are strang_step's, fused on raw arrays: the closing half-phase
+    Steps are `_step`'s, fused on raw arrays: the closing half-phase
     of one step and the opening half-phase of the next are applied as one
     phase exp(-i|u|^6 (dt_k + dt_{k+1})/2), which is exact because the
     phase leaves |u| unchanged.  Each snapshot segment starts from the
@@ -294,18 +307,7 @@ def evolve(
             if not t + dt > t:  # a zero, NaN or unresolvable step would never reach t_next
                 status = "dt_underflow"
                 break
-            while True:
-                w = _rotate(v, q, pending + 0.5 * dt)
-                w *= r
-                c = _dst1(w)
-                c *= propagator(dt)
-                w = _dst1(c)
-                w /= r
-                q_w = _modulus2(w)
-                qmax_w = float(q_w.max())
-                # finite iff strang_step's closing half-phase would be finite
-                if math.isfinite(qmax_w * qmax_w * qmax_w * (0.5 * dt)):
-                    break
+            while (out := _step(v, q, pending, dt, propagator(dt), r)) is None:
                 halvings += 1
                 dt /= 2.0
                 if dt < 1e-12 * dt_raw:
@@ -313,7 +315,7 @@ def evolve(
                     break
             if status != "ok":
                 break
-            v, q, qmax, pending = w, q_w, qmax_w, 0.5 * dt
+            (v, q, qmax), pending = out, 0.5 * dt
             t += dt
             steps += 1
             dt_lo, dt_hi = min(dt_lo, dt), max(dt_hi, dt)

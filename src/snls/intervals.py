@@ -26,6 +26,7 @@ __all__ = [
     "IntervalDecomposition",
     "SelectionResult",
     "partition_by_eta",
+    "partition_trajectory",
     "classify",
     "concentration_scan",
     "select_long_interval",

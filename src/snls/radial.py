@@ -120,9 +120,6 @@ class RadialField:
         """w_i = r_i * u(r_i)."""
         return self.grid.nodes * self.values
 
-    def is_finite(self) -> bool:
-        return bool(np.isfinite(self.values).all())
-
     def sup_abs(self) -> float:
         """Grid max of |u| (a lower bound of the true sup)."""
         return float(np.abs(self.values).max())

@@ -113,6 +113,11 @@ class TestStrangStep:
         assert 80.0 < ratio < 200.0
         assert diffs[0] < 1e-14
 
+    def test_overflow_raises_floating_point_error(self, grid_small):
+        # |u|^6 overflows float64, so the step cannot leave finite samples
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
+            strang_step(gaussian_field(grid_small, amplitude=1e60), 0.01)
+
 
 class TestStepController:
     @pytest.mark.parametrize("field, value", [
@@ -187,8 +192,13 @@ class TestEvolve:
         assert abs(h1 - h0) < 0.05 * h0
 
 
-def strang_reference(u0: RadialField, t_span, ctl: StepController, halve_step=None) -> np.ndarray:
-    """Frames of one strang_step per step under evolve's dt rule: the unfused loop.
+def reference_step(u: RadialField, dt: float) -> RadialField:
+    """One Strang step composed from the public flows, independent of evolve's kernel."""
+    return nonlinear_phase(free_evolve(nonlinear_phase(u, dt / 2.0), dt), dt / 2.0)
+
+
+def strang_reference(u0: RadialField, t_span, ctl: StepController, halve_step=None, step=reference_step) -> np.ndarray:
+    """Frames of one `step` call per step under evolve's dt rule: the unfused loop.
 
     Step number halve_step (0-based) is taken at half its dt, as after one rejection.
     """
@@ -199,7 +209,7 @@ def strang_reference(u0: RadialField, t_span, ctl: StepController, halve_step=No
             dt = min(ctl.dt_max, ctl.theta / max(1e-12, u.sup_abs() ** 6), t_next - t)
             if k == halve_step:
                 dt /= 2.0
-            u = strang_step(u, dt)
+            u = step(u, dt)
             t += dt
             k += 1
         t = float(t_next)
@@ -216,6 +226,15 @@ class TestFusedStepping:
         assert traj.frames.shape == ref.shape
         rel = np.abs(traj.frames - ref).max(axis=1) / np.abs(ref).max(axis=1)
         assert rel.max() <= 1e-12
+
+    def test_one_step_per_frame_is_strang_step_byte_for_byte(self):
+        # stride == dt_max and theta not binding: every frame is one step of the shared kernel
+        u0 = gaussian_field(RadialGrid(20.0, 255), amplitude=0.8)
+        ctl = StepController(dt_max=0.0025, snapshot_stride=0.0025)
+        traj = evolve(u0, (0.0, 0.05), ctl)
+        assert traj.provenance["telemetry"]["steps"] == 20
+        ref = strang_reference(u0, (0.0, 0.05), ctl, step=strang_step)
+        assert traj.frames.tobytes() == ref.tobytes()
 
     def test_telemetry_counts_steps(self, grid_small):
         # each 0.01 segment is three 0.003 steps and a short 0.001 step
@@ -340,3 +359,14 @@ class TestAverageTranslate:
         f = gaussian_field(grid_small)
         with pytest.raises(ValueError):
             average_translate(f, grid_small.r_max / 2.0)
+
+
+def test_package_exports_are_in_their_modules_all():
+    # `from snls.<module> import *` gives every name the package re-exports from that module
+    import snls
+    missing = []
+    for name in snls.__all__:
+        module = getattr(snls, name).__module__
+        if name not in importlib.import_module(module).__all__:
+            missing.append(f"{module}.{name}")
+    assert missing == []
