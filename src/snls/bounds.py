@@ -391,8 +391,8 @@ def bootstrap_monitor(traj, mode: str, params: dict, constants: ProofConstants):
         return float(d["H_sc"][sel].max()) + i15 ** (1.0 / 15.0) + ig ** 0.3
 
     cuts = np.interp(np.arange(counts[reach[-1]] + 1) * quantum, cum_s15, times)
-    held = np.flatnonzero(np.searchsorted(times, cuts[1:] + 1e-12, "right")
-                          > np.searchsorted(times, cuts[:-1] - 1e-12, "left"))
+    lo, hi = fn._frame_windows(times, cuts[:-1], cuts[1:])
+    held = np.flatnonzero(hi > lo)
     s_held = [interval_s(cuts[j], cuts[j + 1]) for j in held]
     ratios = np.divide(s_held[1:], np.maximum(s_held[:-1], 1e-300))  # ratios[k - 1]: held k over held k - 1
     running = np.maximum.accumulate(ratios)

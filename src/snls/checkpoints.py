@@ -102,8 +102,9 @@ class TrajectoryFrameWriter:
             Path(path).unlink(missing_ok=True)
         self._f = open(path, mode)
         if mode == "wb":
+            # made durable by the first append's fsync; a log cut short of its header counts as no log
             self._f.write(_header_bytes(grid))
-            self._flush()
+            self._f.flush()
 
     def append(self, t: float, values: np.ndarray) -> None:
         self._record["t"] = t
@@ -123,6 +124,11 @@ class TrajectoryFrameWriter:
 
     def __exit__(self, *exc):
         self.close()
+
+
+def has_frame_log(path) -> bool:
+    """Whether path holds at least a whole frame-log header; a shorter file is a log whose creation was cut."""
+    return os.path.isfile(path) and os.path.getsize(path) >= _HEADER.size
 
 
 def _read_header(path) -> RadialGrid:

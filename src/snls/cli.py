@@ -65,7 +65,7 @@ def run_simulation(cfg: RunConfig, out_dir: Path, resume: bool = False) -> tuple
 
     t_start, u_start = t_a, cfg.build_initial_field()
     append = False
-    if resume and frames_path.exists():
+    if resume and ckpt.has_frame_log(frames_path):
         manifest, (old_grid, old_times, old_frames) = _read_run_dir(out_dir)
         if manifest["config"] != cfg.to_dict():
             raise ConfigError("resume: config does not match the run directory manifest")

@@ -219,13 +219,14 @@ def _step(v: np.ndarray, q: np.ndarray, pending: float, dt: float, prop: np.ndar
     v (q = |v|^2) owes a half-phase of length pending, merged with the step's opening one; prop is
     exp(-i rho^2 dt).  w owes its own closing half-phase dt/2; None when that would not be finite.
     """
-    w = _rotate(v, q, pending + 0.5 * dt)
-    w *= r
-    c = _dst1(w)
-    c *= prop
-    w = _dst1(c)
-    w /= r
-    q_w = _modulus2(w)
+    with np.errstate(over="ignore", invalid="ignore"):  # a step that overflows is the None below
+        w = _rotate(v, q, pending + 0.5 * dt)
+        w *= r
+        c = _dst1(w)
+        c *= prop
+        w = _dst1(c)
+        w /= r
+        q_w = _modulus2(w)
     qmax_w = float(q_w.max())
     if not math.isfinite(qmax_w * qmax_w * qmax_w * (0.5 * dt)):
         return None

@@ -99,9 +99,18 @@ def localized_mass_rate(traj, t: float, R: float) -> float:
     return float((b - a) / (times[hi] - times[lo]))
 
 
+def _frame_windows(times: np.ndarray, t_a, t_b):
+    """(lo, hi): frames lo..hi-1 lie inside [t_a, t_b], with a 1e-12 tolerance at both ends.
+
+    The one owner of the frame-window rule; arrays of window ends give arrays lo and hi.
+    """
+    return np.searchsorted(times, t_a - 1e-12, "left"), np.searchsorted(times, t_b + 1e-12, "right")
+
+
 def _frames_in(times: np.ndarray, t_a: float, t_b: float) -> slice:
     """The frames whose times lie inside [t_a, t_b], with a 1e-12 tolerance at both ends."""
-    return slice(int(np.searchsorted(times, t_a - 1e-12, "left")), int(np.searchsorted(times, t_b + 1e-12, "right")))
+    lo, hi = _frame_windows(times, t_a, t_b)
+    return slice(int(lo), int(hi))
 
 
 def morawetz_flux(traj, interval, R_cut: float) -> float:

@@ -399,6 +399,16 @@ class TestCheckpointWrittenOnce:
         for name in ("frames.snls", "checkpoint.snls"):
             assert (tmp_path / "cut" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
 
+    def test_resume_of_log_cut_inside_its_header_starts_fresh(self, tmp_path):
+        cfg = RunConfig.from_dict(FAST)
+        run_simulation(cfg, tmp_path / "full")
+        run_simulation(cfg, tmp_path / "cut")
+        log = tmp_path / "cut" / "frames.snls"
+        log.write_bytes(log.read_bytes()[:10])
+        assert run_simulation(cfg, tmp_path / "cut", resume=True)[1] == EXIT_OK
+        for name in ("frames.snls", "densities.csv", "checkpoint.snls"):
+            assert (tmp_path / "cut" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+
     def test_resume_of_finished_run_restores_deleted_checkpoint(self, tmp_path):
         cfg = RunConfig.from_dict(FAST)
         run_simulation(cfg, tmp_path / "run")

@@ -1,6 +1,7 @@
 """Free flow, split stepping, adaptive evolution, and Duhamel machinery."""
 
 import importlib
+import warnings
 
 import numpy as np
 import pytest
@@ -117,6 +118,13 @@ class TestStrangStep:
         # |u|^6 overflows float64, so the step cannot leave finite samples
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
             strang_step(gaussian_field(grid_small, amplitude=1e60), 0.01)
+
+    def test_overflow_raises_without_warnings(self, grid_small):
+        # the kernel handles the overflow itself, so numpy has nothing to warn about on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="non-finite"):
+                strang_step(gaussian_field(grid_small, amplitude=1e60), 0.01)
 
 
 class TestStepController:

@@ -1,10 +1,17 @@
 """Transforms, multipliers, and norms against quadrature/closed-form oracles."""
 
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import TimeoutError as FutureTimeout
+
 import numpy as np
 import pytest
+import scipy.fft as sfft
 from scipy.integrate import quad
 from scipy.special import gamma
 
+from snls import radial
 from snls.radial import (
     RadialField,
     RadialGrid,
@@ -95,6 +102,69 @@ class TestTransforms:
         vals[17] = np.nan
         with pytest.raises(ValueError, match="index 17"):
             to_spectral(RadialField(grid_small, vals))
+
+
+def _complex_rows(shape, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _child_dst1(n):
+    """Runs in a worker process: _dst1 of a fixed complex row, as bytes."""
+    return radial._dst1(_complex_rows(n)).tobytes()
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Affinity reads two CPUs, so rows of _SPLIT_MIN samples or more take the two-thread split even on one core."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+class TestSplitTransform:
+    @pytest.mark.parametrize("n", [2047, 8191, 16384])
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_equals_scipy_byte_for_byte(self, two_cpus, n, rows):
+        x = _complex_rows(n if rows is None else (rows, n))
+        assert radial._dst1(x).tobytes() == sfft.dst(x, type=1, norm="ortho").tobytes()
+
+    @pytest.mark.parametrize("n", [2047, 8191, 16384])
+    def test_block_equals_row_calls(self, two_cpus, n):
+        x = _complex_rows((3, n))
+        assert radial._dst1(x).tobytes() == np.stack([radial._dst1(row) for row in x]).tobytes()
+
+    def test_split_runs_on_the_helper_thread(self, two_cpus, monkeypatch):
+        submitted = []
+        pool = radial._pool()
+        monkeypatch.setattr(radial, "_pool", lambda: submitted.append(1) or pool)
+        radial._dst1(_complex_rows(radial._SPLIT_MIN))
+        radial._dst1(_complex_rows(radial._SPLIT_MIN - 1))
+        assert submitted == [1]
+
+    @pytest.mark.parametrize("x, cpus", [
+        (_complex_rows(16384).real, {0, 1}),  # real input: one real transform, nothing to split
+        (_complex_rows(16384), {0}),  # one permitted CPU, as under taskset -c 0
+    ])
+    def test_plain_call_without_split(self, monkeypatch, x, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        monkeypatch.setattr(radial, "_pool", lambda: pytest.fail("split path taken"))
+        assert radial._dst1(x).tobytes() == sfft.dst(x, type=1, norm="ortho").tobytes()
+
+    def test_forked_child_starts_its_own_helper_thread(self, two_cpus):
+        # the parent's helper thread exists before the fork; the children inherit the pool object without it
+        n = radial._SPLIT_MIN
+        expected = sfft.dst(_complex_rows(n), type=1, norm="ortho").tobytes()
+        assert _child_dst1(n) == expected
+        ex = ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("fork"))
+        try:
+            futures = [ex.submit(_child_dst1, n) for _ in range(4)]
+            results = [f.result(timeout=60) for f in futures]
+        except FutureTimeout:
+            for proc in list(ex._processes.values()):
+                proc.kill()
+            pytest.fail("a forked child hung in _dst1")
+        finally:
+            ex.shutdown(wait=False, cancel_futures=True)
+        assert results == [expected] * 4
 
 
 class TestFractional:
