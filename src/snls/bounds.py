@@ -59,7 +59,7 @@ def absorb_check(E: float, C2: float, p: float, eps_target: float, C: float = 2.
     Each record evaluates its inequality at the rule's minimal C2 (or the
     given C2 for rule 2).
     """
-    if p <= 0 or eps_target <= 0:
+    if not (p > 0 and eps_target > 0):
         raise ValueError("p and eps_target must be positive")
     out = []
 
@@ -107,9 +107,9 @@ def scattering_bound(E: float, C: float) -> SaturatingValue:
     Monotone nondecreasing in E; saturates to inf with the overflow flag
     instead of trapping.
     """
-    if E < 0:
+    if not E >= 0:
         raise ValueError(f"E must be nonnegative, got {E}")
-    if C < 1:
+    if not C >= 1:
         raise ValueError(f"C must be >= 1, got {C}")
     e_eff = max(E, 1.0)
     with np.errstate(over="ignore"):  # E^C past float64 saturates to inf
@@ -142,9 +142,9 @@ def _corollary_count(log_M0: float, constants: ProofConstants) -> float:
 
 def slow_growth_g(t: float, C: float) -> float:
     """g(t) = [C^-1 log(log^(1/2) t)]^(1/C), defined for t > e."""
-    if C < 1:
+    if not C >= 1:
         raise ValueError(f"C must be >= 1, got {C}")
-    if t <= math.e:
+    if not t > math.e:
         raise ValueError(f"t must exceed e, got {t}")
     return (math.log(math.sqrt(math.log(t))) / C) ** (1.0 / C)
 

@@ -325,6 +325,7 @@ def _sweep_cell(payload) -> dict:
 
 
 def _cmd_sweep(args) -> int:
+    _require(args.jobs >= 1, "sweep", f"--jobs must be at least 1, got {args.jobs}")
     spec = read_json(args.config)
     _require(isinstance(spec, dict) and isinstance(spec.get("base"), dict) and isinstance(spec.get("sweep"), dict)
              and all(isinstance(v, list) for v in spec["sweep"].values()),

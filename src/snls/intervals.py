@@ -47,9 +47,9 @@ FLAGS = (UNEXCEPTIONAL, EXCEPTIONAL, TAIL)
 
 def eta_of(E, C2: float):
     """eta = (1/C2) (1+E)^(-C2), the partition quantum for ceiling E (scalar or array E)."""
-    if np.any(np.asarray(E) < 0):
+    if not np.all(np.asarray(E) >= 0):
         raise ValueError(f"E must be nonnegative, got {E}")
-    if C2 < 1:
+    if not C2 >= 1:
         raise ValueError(f"C2 must be >= 1, got {C2}")
     return (1.0 / C2) * (1.0 + E) ** (-C2)
 

@@ -161,10 +161,13 @@ def _block_rows(frames: np.ndarray, rows, *args) -> np.ndarray:
                           axis=-1)
 
 
-# Shortest row length at which a complex DST-I is split over two threads.  A thread hand-off costs
-# 0.1-0.2 ms; one-thread time over two-thread time, on a 2-core machine, was 0.43-0.52 at n = 2047,
-# 0.70-0.81 at 4095, 1.20-1.30 at 4096, 1.03-1.12 at 8191, 1.11-1.38 at 16383 and 1.21-1.61 at
-# 16384.  Every measured length below 4096 lost and 8191 gained within noise, so the split starts at 8192.
+# Shortest row length at which a complex DST-I is split over two threads; shorter rows take the lane
+# pass.  Lane time over split time, medians of two sets of 20 interleaved one-row calls on a 2-core
+# machine: 0.39-0.40 at n = 2047, 0.82-0.90 at 2048, 0.50-0.52 at 4095, 1.15-1.24 at 4096, 0.70-0.85
+# at 8191, 1.80-1.81 at 8192, 0.86-0.91 at 16383 and 1.32-1.43 at 16384.  The lane pass wins at every
+# n = 2^k - 1 measured and at 2048, the split at the powers of two from 4096 up.  The split still starts
+# at 8192, where it wins 1.8x, so the n = 16384 benchmark grid keeps it.
+# The lane gain needs pocketfft's two-wide SIMD; without it both paths still give the same bits.
 _SPLIT_MIN = 8192
 
 
@@ -191,16 +194,31 @@ def _dst1(x: np.ndarray) -> np.ndarray:
     normalization above is fixed in this one place.  A (k, n) block gives
     the same bits row for row as k separate calls.
 
-    SciPy transforms a complex array as two independent real DST-I's, the
-    real half and then the imaginary half.  For complex128 rows of at least
-    _SPLIT_MIN samples, when this process may run on more than one CPU, the
-    two halves run at once: the imaginary half, in place in the output, on
-    the helper thread (pocketfft releases the GIL), the real half on the
-    calling thread.  Each half is the same transform of the same rows, so
-    the result has the same bits either way; `taskset -c 0` keeps one thread.
+    A complex DST-I is two independent real DST-I's, of the real half and of
+    the imaginary half; SciPy runs them one after the other.  Here a
+    complex128 array takes one of two paths, and both give the bits of
+    scipy.fft.dst:
+
+    * lanes (rows shorter than _SPLIT_MIN, or a process that may run on one
+      CPU only): the array is viewed, without a copy when its last axis is
+      contiguous, as real (..., n, 2) and transformed along the n axis, so
+      pocketfft runs both halves as the two lanes of one SIMD pass;
+    * split (rows of at least _SPLIT_MIN samples on two or more CPUs): the
+      imaginary half, in place in the output, runs on the helper thread
+      (pocketfft releases the GIL) while the calling thread transforms the
+      real half.
+
+    Each lane, and each half, is the same real transform of the same
+    samples, so the bits do not depend on the path; `taskset -c 0` keeps one
+    thread.  Real input and other dtypes take SciPy's own call.
     """
-    if x.dtype != np.complex128 or x.shape[-1] < _SPLIT_MIN or _cpus() < 2:
+    if x.dtype != np.complex128:
         return sfft.dst(x, type=1, norm="ortho")
+    if x.shape[-1] < _SPLIT_MIN or _cpus() < 2:
+        if x.strides[-1] != x.itemsize:  # a float64 view needs the real and imaginary parts side by side
+            x = np.ascontiguousarray(x)
+        lanes = x.view(np.float64).reshape(x.shape + (2,))
+        return sfft.dst(lanes, type=1, norm="ortho", axis=-2).view(np.complex128).reshape(x.shape)
     out = np.array(x)
     imag = _pool().submit(sfft.dst, out.imag, type=1, norm="ortho", overwrite_x=True)
     sfft.dst(out.real, type=1, norm="ortho", overwrite_x=True)
@@ -292,7 +310,7 @@ def sobolev_norm(field: RadialField, s: float) -> float:
 
 def lebesgue_norm(field: RadialField, p: float) -> float:
     """L^p(R^3) norm; p = inf returns the grid max of |u|."""
-    if p < 1:
+    if not p >= 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
     return float(_lp_rows(field.values, field.grid, p))
 

@@ -24,7 +24,7 @@ from snls import functionals as fn
 from snls.bounds import _component_series
 from snls.evolve import StepController, evolve
 from snls.intervals import ProofConstants
-from snls.radial import RadialField, RadialGrid
+from snls.radial import RadialField, RadialGrid, lebesgue_norm
 
 from conftest import gaussian_field
 
@@ -162,6 +162,28 @@ class TestSlowGrowth:
     def test_domain(self):
         with pytest.raises(ValueError):
             slow_growth_g(math.e, 1.0)
+
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize("call", [
+    lambda: lebesgue_norm(RadialField.zero(RadialGrid(10.0, 15)), NAN),
+    lambda: scattering_bound(NAN, 2.0),
+    lambda: scattering_bound(1.0, NAN),
+    lambda: slow_growth_g(NAN, 1.0),
+    lambda: slow_growth_g(10.0, NAN),
+    lambda: eta_of(NAN, 2.0),
+    lambda: eta_of(np.array([1.0, NAN]), 2.0),
+    lambda: eta_of(1.0, NAN),
+    lambda: absorb_check(1.0, 2.0, p=NAN, eps_target=0.01),
+    lambda: absorb_check(1.0, 2.0, p=0.4, eps_target=NAN),
+], ids=["lebesgue_p", "scattering_E", "scattering_C", "slow_growth_t", "slow_growth_C", "eta_E", "eta_E_array",
+        "eta_C2", "absorb_p", "absorb_eps"])
+def test_nan_argument_rejected(call):
+    # each domain check is negated (not x >= lo), so NaN fails it instead of slipping through
+    with pytest.raises(ValueError):
+        call()
 
 
 class TestTheorem1Plan:

@@ -598,6 +598,15 @@ class TestCommands:
         assert trace.startswith("Traceback") and trace.rstrip().endswith("ConfigError: " + message)
         assert not (tmp_path / "grid" / "cell_theta=0.1" / "error.txt").exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_sweep_rejects_jobs_below_one(self, jobs, tmp_path, capsys):
+        spec_path = _input_file(tmp_path, "sweep.json", {"base": FAST, "sweep": {"amplitude": [0.5]}})
+        out_dir = tmp_path / "grid"
+        assert main(["sweep", "--config", spec_path, "--out", str(out_dir), "--jobs", jobs]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: sweep: --jobs must be at least 1, got {jobs}\n"
+        assert not out_dir.exists()  # stopped before any cell ran
+
     def test_bad_config_exit(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({**FAST, "n": 100}))

@@ -12,6 +12,7 @@ from scipy.integrate import quad
 from scipy.special import gamma
 
 from snls import radial
+from snls.checkpoints import TrajectoryFrameWriter, read_trajectory_frames
 from snls.radial import (
     RadialField,
     RadialGrid,
@@ -121,16 +122,51 @@ def two_cpus(monkeypatch):
 
 
 class TestSplitTransform:
-    @pytest.mark.parametrize("n", [2047, 8191, 16384])
+    @pytest.mark.parametrize("n", [256, 512, 2047, 2048, 8191, 16384])
     @pytest.mark.parametrize("rows", [None, 3])
     def test_equals_scipy_byte_for_byte(self, two_cpus, n, rows):
         x = _complex_rows(n if rows is None else (rows, n))
         assert radial._dst1(x).tobytes() == sfft.dst(x, type=1, norm="ortho").tobytes()
 
-    @pytest.mark.parametrize("n", [2047, 8191, 16384])
+    @pytest.mark.parametrize("n", [256, 512, 2047, 2048, 8191, 16384])
     def test_block_equals_row_calls(self, two_cpus, n):
         x = _complex_rows((3, n))
         assert radial._dst1(x).tobytes() == np.stack([radial._dst1(row) for row in x]).tobytes()
+
+    def test_mapped_frame_block(self, two_cpus, tmp_path):
+        # read-only rows 8 + 16n bytes apart, as the mapped frame log holds them
+        n, path = 2048, tmp_path / "frames.snls"
+        x = _complex_rows((5, n))
+        with TrajectoryFrameWriter(path, RadialGrid(20.0, n)) as writer:
+            for t, row in enumerate(x):
+                writer.append(float(t), row)
+        frames = read_trajectory_frames(path)[2]
+        assert not frames.flags.writeable and frames.strides == (8 + 16 * n, 16)
+        assert radial._dst1(frames).tobytes() == sfft.dst(x, type=1, norm="ortho").tobytes()
+
+    @pytest.mark.parametrize("n", [512, 2048, 16384])
+    def test_last_axis_not_contiguous(self, two_cpus, n):
+        x = _complex_rows((3, 2 * n))[:, ::2]
+        expected = sfft.dst(np.ascontiguousarray(x), type=1, norm="ortho").tobytes()
+        assert radial._dst1(x).tobytes() == expected
+
+    @pytest.mark.parametrize("n, cpus, lanes", [
+        (radial._SPLIT_MIN - 1, {0, 1}, True),
+        (radial._SPLIT_MIN, {0}, True),
+        (radial._SPLIT_MIN, {0, 1}, False),
+    ])
+    def test_lane_pass_is_one_real_transform(self, monkeypatch, n, cpus, lanes):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        calls, real_dst = [], sfft.dst
+
+        def spy(a, **kw):
+            calls.append((a.dtype, a.shape, kw.get("axis")))
+            return real_dst(a, **kw)
+
+        monkeypatch.setattr(radial.sfft, "dst", spy)
+        radial._dst1(_complex_rows((2, n)))
+        f8 = np.dtype(np.float64)
+        assert calls == ([(f8, (2, n, 2), -2)] if lanes else [(f8, (2, n), None)] * 2)  # one two-lane pass, or two halves
 
     def test_split_runs_on_the_helper_thread(self, two_cpus, monkeypatch):
         submitted = []
@@ -142,7 +178,7 @@ class TestSplitTransform:
 
     @pytest.mark.parametrize("x, cpus", [
         (_complex_rows(16384).real, {0, 1}),  # real input: one real transform, nothing to split
-        (_complex_rows(16384), {0}),  # one permitted CPU, as under taskset -c 0
+        (_complex_rows(16384), {0}),  # one permitted CPU, as under taskset -c 0: the lane pass
     ])
     def test_plain_call_without_split(self, monkeypatch, x, cpus):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
