@@ -94,9 +94,20 @@ class Trajectory:
     def field(self, m: int) -> RadialField:
         return RadialField(self.grid, self.frames[m])
 
-    def nearest_frame(self, t: float) -> int:
-        """Index of the stored frame whose time is closest to t."""
-        return int(np.argmin(np.abs(self.times - t)))
+    def nearest_frame(self, t):
+        """Index of the stored frame whose time is closest to t, the earlier one on an exact tie.
+
+        The one owner of the nearest-frame rule.  An array of times gives an
+        array of indices; each time is compared with the two frames around it
+        only, found by one searchsorted.
+        """
+        if not np.isfinite(t).all():
+            raise ValueError(f"t must be finite, got {t}")
+        times = self.times
+        i = np.searchsorted(times, t)
+        lo, hi = np.maximum(i - 1, 0), np.minimum(i, times.size - 1)
+        m = np.where(np.abs(times[hi] - t) < np.abs(times[lo] - t), hi, lo)
+        return int(m) if m.ndim == 0 else m
 
     def frame_index(self, t: float) -> int:
         m = self.nearest_frame(t)

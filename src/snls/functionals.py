@@ -49,11 +49,17 @@ def _s_density_rows(u: np.ndarray, grid) -> np.ndarray:
     return _lp_rows(u, grid, 15.0) ** 15
 
 
-def _localized_mass_rows(u: np.ndarray, grid, R: float) -> np.ndarray:
-    """M(u; 0, R) = (int |chi(x/R) u|^2 dx)^(1/2) of every row of a raw block, centered cutoff of scale R."""
-    if not (0 < R <= grid.r_max):
-        raise ValueError(f"R must lie in (0, r_max], got {R}")
-    return np.sqrt(_volume_rows((cutoff_profile(grid.nodes / R) * np.abs(u)) ** 2, grid))
+def _localized_mass_rows(u: np.ndarray, grid, R) -> np.ndarray:
+    """M(u; 0, R) = (int |chi(x/R) u|^2 dx)^(1/2) of every row of a raw block, centered cutoff of scale R.
+
+    R is one scale for every row, or an array of one scale per row; either
+    way each row gets the same elementwise operations and one last-axis sum.
+    """
+    R = np.asarray(R, dtype=float)
+    bad = R[~((R > 0) & (R <= grid.r_max))]
+    if bad.size:
+        raise ValueError(f"R must lie in (0, r_max], got {bad[0]}")
+    return np.sqrt(_volume_rows((cutoff_profile(grid.nodes / R[..., None]) * np.abs(u)) ** 2, grid))
 
 
 def _nonlinear_term(u: np.ndarray) -> np.ndarray:

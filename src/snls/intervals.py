@@ -321,29 +321,55 @@ def concentration_scan(traj: Trajectory, decomp: IntervalDecomposition, constant
 
     For each unexceptional j the certified quantity is the minimum over
     sampled times of M(u(t); 0, C eta^-C |I_j|^(1/2)) / (eta^C |I_j|^(7/12)).
-    A radius beyond r_max marks the certificate unresolvable; it is never
-    silently clipped.
+    The sampled times are the stored frames inside I_j, or the one nearest
+    its midpoint when none is; the first minimum wins.  A radius beyond
+    r_max marks the certificate unresolvable; it is never silently clipped.
     """
     if not decomp.classified:
         raise ValueError("decomposition must be classified first")
+    js = decomp.indices(UNEXCEPTIONAL)
     eta = decomp.eta
-    certs = []
-    for j in decomp.indices(UNEXCEPTIONAL):
-        a, b = decomp.intervals[j].tolist()
-        L = b - a
-        radius = constants.dist_cap(eta) * np.sqrt(L)
-        reference = eta**constants.C * L ** (7.0 / 12.0)
-        if radius > traj.grid.r_max:
-            certs.append(ConcentrationCertificate(j, radius, reference, np.nan, np.nan, False))
-            continue
-        sel = fn._frames_in(traj.times, a, b)
-        if sel.start == sel.stop:  # no stored frame inside: the one nearest the midpoint
-            m = traj.nearest_frame(0.5 * (a + b))
-            sel = slice(m, m + 1)
-        ratios = _block_rows(traj.frames[sel], fn._localized_mass_rows, traj.grid, radius) / reference
-        k = int(np.argmin(ratios))
-        certs.append(ConcentrationCertificate(j, radius, reference, float(ratios[k]), float(traj.times[sel][k]), True))
-    return certs
+    a, b = decomp.intervals[js].T
+    radii = constants.dist_cap(eta) * np.sqrt(b - a)
+    # scalar powers, as for a single interval: NumPy's array ** can round differently from pow
+    references = [eta**constants.C * L ** (7.0 / 12.0) for L in (b - a).tolist()]
+    ok = radii <= traj.grid.r_max
+    min_ratio, t_min = np.full(len(js), np.nan), np.full(len(js), np.nan)
+    min_ratio[ok], t_min[ok] = _first_minima(traj, a[ok], b[ok], radii[ok], np.asarray(references)[ok])
+    return [ConcentrationCertificate(*cert)
+            for cert in zip(js, radii, references, min_ratio.tolist(), t_min.tolist(), ok.tolist())]
+
+
+def _first_minima(traj: Trajectory, a, b, radii, references) -> tuple[np.ndarray, np.ndarray]:
+    """Per interval [a, b]: the first minimum over its sampled frames of localized mass / reference, and its time.
+
+    The sampled frames are those inside [a, b], or the one nearest the
+    midpoint when none is.  Every (interval, frame) pair is one row of a
+    single pass through the localized-mass kernel, in raw blocks, with |u|
+    taken once per distinct frame of a block.
+    """
+    if not a.size:
+        return a, a
+    lo, hi = fn._frame_windows(traj.times, a, b)
+    empty = lo == hi
+    lo[empty] = traj.nearest_frame(0.5 * (a[empty] + b[empty]))
+    hi[empty] = lo[empty] + 1
+    counts = hi - lo
+    starts = np.cumsum(counts) - counts  # each interval's first row
+    owner = np.repeat(np.arange(a.size), counts)
+    frame = lo[owner] + np.arange(owner.size) - starts[owner]
+    row_radii = radii[owner]
+
+    def rows(p):
+        distinct, which = np.unique(frame[p], return_inverse=True)
+        return fn._localized_mass_rows(np.abs(traj.frames[distinct])[which], traj.grid, row_radii[p])
+
+    ratios = _block_rows(np.arange(owner.size), rows) / references[owner]
+    # the first row holding each interval's minimum; a NaN is the minimum, as np.argmin takes it
+    low = np.minimum.reduceat(ratios, starts)[owner]
+    hit = np.flatnonzero((ratios == low) | (np.isnan(low) & np.isnan(ratios)))
+    first = hit[np.r_[True, owner[hit][1:] != owner[hit][:-1]]]
+    return ratios[first], traj.times[frame[first]]
 
 
 @dataclass(frozen=True)
@@ -580,12 +606,13 @@ def mass_bracketing_audit(
     chain_lengths = lengths[list(sel.chain)]
     N = max(1, int(np.ceil(constants.C * np.log(1.0 / eta)))) if eta < 1 else 1
 
+    radii = constants.dist_cap(eta) * np.sqrt(chain_lengths)
+    ok = radii <= traj.grid.r_max
+    meas = np.full(radii.shape, np.nan)
+    meas[ok] = fn._localized_mass_rows(u_star.values, traj.grid, radii[ok])  # u_star against one radius per row
     steps = []
     for k, j in enumerate(sel.chain):
         L = float(lengths[j])
-        radius = constants.dist_cap(eta) * np.sqrt(L)
-        resolvable = bool(radius <= traj.grid.r_max)  # a NumPy bool would not go into diagnose.json
-        meas = fn.localized_mass(u_star, radius) if resolvable else np.nan
         ref = L ** (7.0 / 12.0)
         holds, lhs, rhs = dyadic_tail_check(chain_lengths, k, N)
         steps.append(
@@ -593,10 +620,10 @@ def mass_bracketing_audit(
                 k=k,
                 j=int(j),
                 length=L,
-                radius=float(radius),
-                resolvable=resolvable,
-                lower_ratio=float(meas / (eta**constants.C * ref)),
-                upper_ratio=float(meas / (eta ** (-constants.C) * ref)),
+                radius=float(radii[k]),
+                resolvable=bool(ok[k]),  # a NumPy bool would not go into diagnose.json
+                lower_ratio=float(meas[k] / (eta**constants.C * ref)),
+                upper_ratio=float(meas[k] / (eta ** (-constants.C) * ref)),
                 tail_holds=holds,
                 tail_lhs=lhs,
                 tail_rhs=rhs,
@@ -631,7 +658,7 @@ def linear_flow_floor(traj: Trajectory, decomp: IntervalDecomposition, j: int) -
     a, b = decomp.intervals[j]
     if decomp.masses[j] < decomp.eta / 2.0:
         raise ValueError(f"interval {j} carries mass {decomp.masses[j]} < eta/2")
-    return tuple(float(_free_flow_masses(traj, traj.nearest_frame(t), a, b) / decomp.eta) for t in (a, b))
+    return tuple(float(_free_flow_masses(traj, m, a, b) / decomp.eta) for m in traj.nearest_frame(np.array([a, b])))
 
 
 def synthetic_decomposition(

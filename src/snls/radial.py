@@ -161,16 +161,6 @@ def _block_rows(frames: np.ndarray, rows, *args) -> np.ndarray:
                           axis=-1)
 
 
-# Shortest row length at which a complex DST-I is split over two threads; shorter rows take the lane
-# pass.  Lane time over split time, medians of two sets of 20 interleaved one-row calls on a 2-core
-# machine: 0.39-0.40 at n = 2047, 0.82-0.90 at 2048, 0.50-0.52 at 4095, 1.15-1.24 at 4096, 0.70-0.85
-# at 8191, 1.80-1.81 at 8192, 0.86-0.91 at 16383 and 1.32-1.43 at 16384.  The lane pass wins at every
-# n = 2^k - 1 measured and at 2048, the split at the powers of two from 4096 up.  The split still starts
-# at 8192, where it wins 1.8x, so the n = 16384 benchmark grid keeps it.
-# The lane gain needs pocketfft's two-wide SIMD; without it both paths still give the same bits.
-_SPLIT_MIN = 8192
-
-
 @functools.cache
 def _pool() -> ThreadPoolExecutor:
     """The one helper thread of this process, started on first use."""
@@ -187,6 +177,16 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
+# Lane time over split time, medians of two sets of 20 interleaved one-row calls on a 2-core machine:
+# 0.39-0.40 at n = 2047, 0.82-0.90 at 2048, 0.50-0.52 at 4095, 1.15-1.24 at 4096, 0.70-0.85 at 8191,
+# 1.80-1.81 at 8192, 0.86-0.91 at 16383 and 1.32-1.43 at 16384.  The lane pass wins at every n = 2^k - 1
+# measured and at 2048, the split at the powers of two from 4096 up, so _splits keys on both.
+# The lane gain needs pocketfft's two-wide SIMD; without it both paths still give the same bits.
+def _splits(n: int) -> bool:
+    """Whether complex rows of n samples take the two-thread split: n a power of two from 4096 up, on two or more CPUs."""
+    return n >= 4096 and n & (n - 1) == 0 and _cpus() >= 2
+
+
 def _dst1(x: np.ndarray) -> np.ndarray:
     """Orthonormal DST-I along the last axis of a raw real or complex array; its own inverse.
 
@@ -199,14 +199,14 @@ def _dst1(x: np.ndarray) -> np.ndarray:
     complex128 array takes one of two paths, and both give the bits of
     scipy.fft.dst:
 
-    * lanes (rows shorter than _SPLIT_MIN, or a process that may run on one
-      CPU only): the array is viewed, without a copy when its last axis is
+    * split (rows whose length is a power of two of at least 4096, on two
+      or more CPUs; see _splits): the imaginary half, in place in the
+      output, runs on the helper thread (pocketfft releases the GIL) while
+      the calling thread transforms the real half;
+    * lanes (every other row length, or a process that may run on one CPU
+      only): the array is viewed, without a copy when its last axis is
       contiguous, as real (..., n, 2) and transformed along the n axis, so
-      pocketfft runs both halves as the two lanes of one SIMD pass;
-    * split (rows of at least _SPLIT_MIN samples on two or more CPUs): the
-      imaginary half, in place in the output, runs on the helper thread
-      (pocketfft releases the GIL) while the calling thread transforms the
-      real half.
+      pocketfft runs both halves as the two lanes of one SIMD pass.
 
     Each lane, and each half, is the same real transform of the same
     samples, so the bits do not depend on the path; `taskset -c 0` keeps one
@@ -214,7 +214,7 @@ def _dst1(x: np.ndarray) -> np.ndarray:
     """
     if x.dtype != np.complex128:
         return sfft.dst(x, type=1, norm="ortho")
-    if x.shape[-1] < _SPLIT_MIN or _cpus() < 2:
+    if not _splits(x.shape[-1]):
         if x.strides[-1] != x.itemsize:  # a float64 view needs the real and imaginary parts side by side
             x = np.ascontiguousarray(x)
         lanes = x.view(np.float64).reshape(x.shape + (2,))

@@ -5,9 +5,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from snls.evolve import (
     StepController,
+    Trajectory,
     _snapshot_times,
     rebuild_trajectory,
     average_translate,
@@ -138,6 +140,36 @@ class TestStepController:
 
     def test_accepts_inf_ceilings_and_full_delta(self):
         StepController(boundary_mass_tol=np.inf, blowup_ceiling=np.inf, sobolev_delta=SC)
+
+
+class TestNearestFrame:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_equals_argmin(self, data):
+        # frame times, the midpoints between them (exact ties for a stride of 0.25) and arbitrary times around them
+        F = data.draw(st.integers(1, 30), label="frames")
+        stride = data.draw(st.sampled_from((0.25, 0.1, 1e-3)), label="stride")
+        times = data.draw(st.floats(-5.0, 5.0), label="t0") + stride * np.arange(F)
+        traj = Trajectory(RadialGrid(10.0, 8), times, np.zeros((F, 8)), {})
+        ts = np.array(data.draw(st.lists(st.one_of(
+            st.sampled_from(times.tolist()),
+            st.sampled_from((times[:-1] + 0.5 * stride).tolist() or [times[0]]),
+            st.floats(times[0] - 1.0, times[-1] + 1.0)), min_size=1, max_size=20), label="t"))
+        expected = [int(np.argmin(np.abs(times - t))) for t in ts]
+        assert traj.nearest_frame(ts).tolist() == expected
+        assert [traj.nearest_frame(t) for t in ts.tolist()] == expected
+        assert all(type(traj.nearest_frame(t)) is int for t in ts.tolist())
+
+    def test_tie_takes_the_earlier_frame(self):
+        traj = Trajectory(RadialGrid(10.0, 8), [0.0, 1.0, 2.0], np.zeros((3, 8)), {})
+        assert traj.nearest_frame(0.5) == 0 and traj.nearest_frame(1.5) == 1
+        assert traj.nearest_frame(np.array([[0.5, 1.5], [-3.0, 7.0]])).tolist() == [[0, 1], [0, 2]]
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, np.array([0.5, np.nan])])
+    def test_non_finite_time_rejected(self, t):
+        traj = Trajectory(RadialGrid(10.0, 8), [0.0, 1.0, 2.0], np.zeros((3, 8)), {})
+        with pytest.raises(ValueError, match="t must be finite"):
+            traj.nearest_frame(t)
 
 
 class TestEvolve:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from snls import functionals as fn
 from snls.evolve import StepController, evolve, linear_trajectory
 from snls.functionals import (
     cutoff_profile,
@@ -93,6 +94,28 @@ class TestLocalizedMass:
         hsc = sobolev_norm(f, SC)
         ratios = [localized_mass(f, R) / (R ** (7.0 / 6.0) * hsc) for R in (0.25, 0.5, 1, 2, 4, 8)]
         assert max(ratios) < 1.0  # logged: ~0.33 for unit gaussians
+
+    def test_radius_per_row_equals_scalar_calls(self, grid_small):
+        # radii on both sides of the taper's ends, the grid's own nodes and r_max itself
+        rng = np.random.default_rng(15)
+        g = grid_small
+        radii = np.concatenate((rng.uniform(0.05, g.r_max, 13), g.nodes[[3, 100]], 2.0 * g.nodes[[40]], [g.r_max]))
+        u = np.stack([random_smooth_field(g, rng).values for _ in radii])
+        rows = fn._localized_mass_rows(u, g, radii)
+        assert rows.tobytes() == np.array([fn._localized_mass_rows(v, g, R) for v, R in zip(u, radii.tolist())]).tobytes()
+        # one row against every radius, as the mass-bracketing audit calls it
+        f = RadialField(g, u[0])
+        assert fn._localized_mass_rows(u[0], g, radii).tolist() == [localized_mass(f, R) for R in radii.tolist()]
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, 20.000001, np.nan, np.inf])
+    def test_radius_outside_grid_rejected(self, grid_small, bad):
+        u = np.ones((3, grid_small.n), dtype=complex)
+        with pytest.raises(ValueError, match="R must lie in"):
+            fn._localized_mass_rows(u, grid_small, bad)
+        with pytest.raises(ValueError, match="R must lie in"):
+            fn._localized_mass_rows(u, grid_small, np.array([1.0, bad, 2.0]))
+        with pytest.raises(ValueError, match="R must lie in"):
+            localized_mass(RadialField(grid_small, u[0]), bad)
 
 
 class TestRates:

@@ -9,14 +9,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from snls.evolve import StepController, evolve, free_evolve, linear_trajectory
-from snls.functionals import cumulative_series_integral, cutoff_profile, s_density, series_integral_between
+from snls import functionals as fn
+from snls.evolve import StepController, Trajectory, evolve, free_evolve, linear_trajectory
+from snls.functionals import (
+    cumulative_series_integral,
+    cutoff_profile,
+    localized_mass,
+    s_density,
+    series_integral_between,
+)
 from snls.intervals import (
     EXCEPTIONAL,
     TAIL,
     UNEXCEPTIONAL,
+    ConcentrationCertificate,
     IntervalDecomposition,
     ProofConstants,
+    SelectionResult,
     brute_force_chain,
     check_selection_invariants,
     classify,
@@ -31,6 +40,7 @@ from snls.intervals import (
     select_long_interval,
     synthetic_decomposition,
 )
+from snls.radial import RadialGrid, _block_rows
 
 from conftest import gaussian_field
 
@@ -455,6 +465,97 @@ class TestConcentrationScan:
         assert all(c.min_ratio > 0 for c in certs)
 
 
+def reference_scan(traj, decomp, constants):
+    """concentration_scan as a loop over the unexceptional intervals, one interval and its frames at a time."""
+    eta = decomp.eta
+    certs = []
+    for j in decomp.indices(UNEXCEPTIONAL):
+        a, b = decomp.intervals[j].tolist()
+        L = b - a
+        radius = constants.dist_cap(eta) * np.sqrt(L)
+        reference = eta**constants.C * L ** (7.0 / 12.0)
+        if radius > traj.grid.r_max:
+            certs.append(ConcentrationCertificate(j, radius, reference, np.nan, np.nan, False))
+            continue
+        sel = fn._frames_in(traj.times, a, b)
+        if sel.start == sel.stop:  # no stored frame inside: the one nearest the midpoint
+            m = int(np.argmin(np.abs(traj.times - 0.5 * (a + b))))
+            sel = slice(m, m + 1)
+        ratios = _block_rows(traj.frames[sel], fn._localized_mass_rows, traj.grid, radius) / reference
+        k = int(np.argmin(ratios))
+        certs.append(ConcentrationCertificate(j, radius, reference, float(ratios[k]), float(traj.times[sel][k]), True))
+    return certs
+
+
+SCAN_GRID = RadialGrid(40.0, 64)
+# three distinct frame rows: frames drawn from them repeat, so equal ratios inside one window are common
+SCAN_ROWS = np.stack([gaussian_field(SCAN_GRID, amplitude=a, width=w, chirp=c).values
+                      for a, w, c in ((1.0, 4.0, 0.1), (0.7, 9.0, -0.2), (1.3, 2.0, 0.0))])
+
+
+def scan_instance(rows, steps, flags, start=0.0):
+    """Frames of the given SCAN_ROWS at times 0, 1, 2, ..., and intervals of the given lengths in eighths from start."""
+    traj = Trajectory(SCAN_GRID, np.arange(len(rows), dtype=float), SCAN_ROWS[list(rows)], {})
+    cuts = start + np.concatenate(([0], np.cumsum(steps))) / 8.0
+    d = IntervalDecomposition(np.column_stack((cuts[:-1], cuts[1:])), (0.5,) * len(steps), 0.5, flags,
+                              classified=True)
+    return traj, d
+
+
+class TestBatchedScan:
+    # windows of 21, 1, 2, 1 and 0 frames (the last with its midpoint 22.5 halfway between frames 22 and 23),
+    # a radius above r_max and a tail
+    ROWS = [0, 1, 1, 2, 0, 0, 1] * 4 + [2, 2]
+    STEPS = (160, 4, 12, 2, 4, 50, 258, 8)
+    FLAGS = (UNEXCEPTIONAL,) * 3 + (EXCEPTIONAL,) + (UNEXCEPTIONAL,) * 3 + (TAIL,)
+
+    def test_every_window_kind(self):
+        traj, d = scan_instance(self.ROWS, self.STEPS, self.FLAGS)
+        constants = ProofConstants(C=2.0)
+        windows = [fn._frames_in(traj.times, a, b) for a, b in d.intervals]
+        assert [w.stop - w.start for w in windows][:5] == [21, 1, 2, 1, 0]
+        assert d.intervals[4].tolist() == [22.25, 22.75] and traj.nearest_frame(22.5) == 22
+        certs = concentration_scan(traj, d, constants)
+        assert [c.j for c in certs] == [0, 1, 2, 4, 5, 6]
+        assert [c.resolvable for c in certs] == [True] * 5 + [False]
+        assert certs[3].t_min == 22.0
+        assert list(map(repr, certs)) == list(map(repr, reference_scan(traj, d, constants)))
+
+    def test_nan_frame_is_the_minimum(self):
+        # a non-finite sample makes its frame's ratio NaN, and np.argmin takes the first NaN
+        traj, d = scan_instance(self.ROWS, self.STEPS, self.FLAGS)
+        frames = np.array(traj.frames)
+        frames[[5, 9], 3] = np.nan
+        traj = Trajectory(traj.grid, traj.times, frames, {})
+        certs = concentration_scan(traj, d, ProofConstants(C=2.0))
+        assert np.isnan(certs[0].min_ratio) and certs[0].t_min == 5.0
+        assert list(map(repr, certs)) == list(map(repr, reference_scan(traj, d, ProofConstants(C=2.0))))
+
+    def test_nothing_unexceptional(self):
+        traj, d = scan_instance(self.ROWS, self.STEPS, (EXCEPTIONAL,) * 7 + (TAIL,))
+        assert concentration_scan(traj, d, ProofConstants()) == [] == reference_scan(traj, d, ProofConstants())
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_equals_reference_loop(self, data):
+        # windows of 0 to 26 frames, also before the first frame and past the last; radii from below one
+        # grid step to past r_max
+        rows = data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=40), label="rows")
+        steps = data.draw(st.lists(st.integers(1, 200), min_size=1, max_size=12), label="steps")
+        flags = data.draw(st.lists(st.sampled_from((UNEXCEPTIONAL, EXCEPTIONAL)), min_size=len(steps),
+                                   max_size=len(steps)), label="flags")
+        if data.draw(st.booleans(), label="tail"):
+            flags[-1] = TAIL
+        start = data.draw(st.integers(-16, 8 * len(rows)), label="start") / 8.0
+        C = data.draw(st.sampled_from((1.0, 2.0, 3.0)), label="C")
+        eta = data.draw(st.floats(0.3, 2.0), label="eta")
+        traj, d = scan_instance(rows, steps, flags, start)
+        d = dataclasses.replace(d, eta=eta)
+        constants = ProofConstants(C=C)
+        assert list(map(repr, concentration_scan(traj, d, constants))) == list(
+            map(repr, reference_scan(traj, d, constants)))
+
+
 class TestMassBracketingAudit:
     def test_report_goes_into_json(self, grid_small):
         # diagnose.json carries the report, so every field must be a plain JSON value
@@ -471,6 +572,31 @@ class TestMassBracketingAudit:
         g, u = traj.grid, traj.frames[traj.nearest_frame(report.t_star)]
         hardy_lhs = 4.0 * np.pi * g.dr * np.sum(np.abs(g.nodes * u) ** 2 / g.nodes ** (7.0 / 3.0))
         assert abs(report.hardy_lhs - hardy_lhs) <= 1e-13 * hardy_lhs
+
+    def test_steps_equal_per_step_localized_mass(self):
+        # geometric lengths 8, 4, ..., 1/16: radii 8 sqrt(L) from 2 to 22.6 across r_max = 20
+        g = RadialGrid(20.0, 256)
+        lengths = [2.0**(3 - k) for k in range(8)]
+        cuts = np.concatenate(([0.0], np.cumsum(lengths)))
+        d = IntervalDecomposition(np.column_stack((cuts[:-1], cuts[1:])), (0.5,) * 8, 0.5, (UNEXCEPTIONAL,) * 8,
+                                  classified=True)
+        times = np.arange(0.0, 16.5, 0.5)
+        u = [gaussian_field(g, amplitude=1.0 + 0.01 * k, width=3.0, chirp=0.05 * k).values for k in range(times.size)]
+        traj = Trajectory(g, times, u, {"H_sc": np.ones(times.size)})
+        constants = ProofConstants(C=2.0)
+        sel = SelectionResult(t_star=15.96875, chain=tuple(range(8)), K=8, dist_ratios=(0.0,) * 8, dist_cap=8.0)
+        report = mass_bracketing_audit(traj, d, sel, constants)
+        u_star = traj.field(traj.nearest_frame(sel.t_star))
+        expected = []
+        for L in lengths:
+            radius = constants.dist_cap(d.eta) * np.sqrt(L)
+            meas = localized_mass(u_star, radius) if radius <= g.r_max else np.nan
+            ref = L ** (7.0 / 12.0)
+            expected.append((float(radius), bool(radius <= g.r_max), float(meas / (d.eta**constants.C * ref)),
+                             float(meas / (d.eta ** (-constants.C) * ref))))
+        got = [(s.radius, s.resolvable, s.lower_ratio, s.upper_ratio) for s in report.steps]
+        assert [s[1] for s in got] == [False] + [True] * 7
+        assert repr(got) == repr(expected)
 
 
 class TestLinearFlowFloor:

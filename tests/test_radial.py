@@ -117,7 +117,7 @@ def _child_dst1(n):
 
 @pytest.fixture
 def two_cpus(monkeypatch):
-    """Affinity reads two CPUs, so rows of _SPLIT_MIN samples or more take the two-thread split even on one core."""
+    """Affinity reads two CPUs, so rows of a power of two from 4096 up take the two-thread split even on one core."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
 
@@ -150,10 +150,16 @@ class TestSplitTransform:
         expected = sfft.dst(np.ascontiguousarray(x), type=1, norm="ortho").tobytes()
         assert radial._dst1(x).tobytes() == expected
 
+    # the split takes the powers of two from 4096 up, on two CPUs; every other length, and one CPU, the lanes
     @pytest.mark.parametrize("n, cpus, lanes", [
-        (radial._SPLIT_MIN - 1, {0, 1}, True),
-        (radial._SPLIT_MIN, {0}, True),
-        (radial._SPLIT_MIN, {0, 1}, False),
+        (8191, {0, 1}, True),
+        (8192, {0}, True),
+        (8192, {0, 1}, False),
+        (2048, {0, 1}, True),
+        (4095, {0, 1}, True),
+        (4096, {0, 1}, False),
+        (16383, {0, 1}, True),
+        (16384, {0, 1}, False),
     ])
     def test_lane_pass_is_one_real_transform(self, monkeypatch, n, cpus, lanes):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
@@ -172,8 +178,8 @@ class TestSplitTransform:
         submitted = []
         pool = radial._pool()
         monkeypatch.setattr(radial, "_pool", lambda: submitted.append(1) or pool)
-        radial._dst1(_complex_rows(radial._SPLIT_MIN))
-        radial._dst1(_complex_rows(radial._SPLIT_MIN - 1))
+        radial._dst1(_complex_rows(4096))
+        radial._dst1(_complex_rows(8191))
         assert submitted == [1]
 
     @pytest.mark.parametrize("x, cpus", [
@@ -187,7 +193,7 @@ class TestSplitTransform:
 
     def test_forked_child_starts_its_own_helper_thread(self, two_cpus):
         # the parent's helper thread exists before the fork; the children inherit the pool object without it
-        n = radial._SPLIT_MIN
+        n = 4096
         expected = sfft.dst(_complex_rows(n), type=1, norm="ortho").tobytes()
         assert _child_dst1(n) == expected
         ex = ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("fork"))
