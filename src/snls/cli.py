@@ -247,9 +247,7 @@ def _cmd_diagnose(args) -> int:
     constants = _load_constants(args, cfg)
     report = diagnose_trajectory(traj, constants, cfg.e_mode, cfg.e_declared)
     out = Path(args.out) if args.out else run_dir / "diagnose.json"
-    with open(out, "w") as f:  # streamed: the indented text of a large report is never held whole
-        json.dump(report, f, indent=2, sort_keys=True)
-        f.write("\n")
+    out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")  # one encode, one write: faster than json.dump
     c = report["counts"]
     print(f"diagnose: J={c['J']} B={c['B']} G={c['G']} eta={report['eta']:.4g} "
           f"reintegration_rel_err={report['reintegration']['rel_err']:.2e} -> {out}")

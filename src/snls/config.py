@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import functools
 import json
-import numbers
 from dataclasses import asdict, dataclass, field as dc_field, fields
 from pathlib import Path
 
@@ -13,7 +12,7 @@ import numpy as np
 from .evolve import StepController, _time_span
 from .functionals import cutoff_profile
 from .intervals import ProofConstants
-from .radial import RadialField, RadialGrid
+from .radial import RadialField, RadialGrid, _is_real
 
 __all__ = ["RunConfig", "initial_field", "SCHEMA_VERSION"]
 
@@ -26,9 +25,9 @@ def _check_initial_data(family, amplitude, width, chirp) -> None:
     """The initial-data ranges, each written once; the ValueError starts with the field name."""
     for name, value, ok, rule in (
         ("family", family, family in FAMILIES, f"be one of {FAMILIES}"),
-        ("amplitude", amplitude, isinstance(amplitude, numbers.Real) and amplitude >= 0, "be a nonnegative number"),
-        ("width", width, isinstance(width, numbers.Real) and width > 0, "be a positive number"),
-        ("chirp", chirp, isinstance(chirp, numbers.Real), "be a number"),
+        ("amplitude", amplitude, _is_real(amplitude) and amplitude >= 0, "be a nonnegative number"),
+        ("width", width, _is_real(width) and width > 0, "be a positive number"),
+        ("chirp", chirp, _is_real(chirp), "be a number"),
     ):
         if not ok:
             raise ValueError(f"{name} must {rule}, got {value!r}")
@@ -105,9 +104,9 @@ class RunConfig:
                 raise ConfigError(f"{prefix}{exc}") from exc
         _require(self.e_mode in ("measure", "declare"), "e_mode", "must be 'measure' or 'declare'")
         if self.e_mode == "declare":
-            _require(isinstance(self.e_declared, numbers.Real) and self.e_declared > 0,
+            _require(_is_real(self.e_declared) and self.e_declared > 0,
                      "e_declared", "must be positive in declare mode")
-        _require(isinstance(self.seed, int), "seed", "must be an integer")
+        _require(isinstance(self.seed, int) and not isinstance(self.seed, bool), "seed", "must be an integer")
         _require(isinstance(self.out_dir, str), "out_dir", "must be a string")
         return self
 

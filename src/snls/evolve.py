@@ -9,15 +9,14 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import asdict, dataclass, field as dc_field, fields
 
 import numpy as np
 
 from . import functionals as fn
 from .radial import (
-    _FRAME_BLOCK, RadialField, RadialGrid, SpectralField, _block_rows, _dst1, _sobolev2_rows,
-    _spectral_rows, _volume_rows, from_spectral, to_spectral,
+    _FRAME_BLOCK, RadialField, RadialGrid, SpectralField, _block_rows, _dst1, _is_real, _path, _pool,
+    _sobolev2_rows, _spectral_rows, _volume_rows, from_spectral, to_spectral,
 )
 
 __all__ = [
@@ -52,7 +51,7 @@ class StepController:
         upper = {"theta": 1.0, "sobolev_delta": S_CRITICAL}
         for f in fields(self):
             value, hi = getattr(self, f.name), upper.get(f.name, math.inf)
-            if not (isinstance(value, numbers.Real) and 0 < value <= hi):
+            if not (_is_real(value) and 0 < value <= hi):
                 raise ValueError(f"{f.name} must lie in (0, {hi:.6g}], got {value!r}")
 
 
@@ -121,8 +120,23 @@ class Trajectory:
 
 
 def _propagator(grid: RadialGrid, dt) -> np.ndarray:
-    """exp(-i rho_k^2 dt): one row per entry of an array dt, a single row for a scalar."""
-    return np.exp(-1j * grid.frequencies**2 * np.asarray(dt, dtype=float)[..., None])
+    """exp(-i rho_k^2 dt): one row per entry of an array dt, a single row for a scalar.
+
+    A block of rows that the sine transform runs on two workers (two or
+    more rows of at least 1023 samples, on two or more CPUs; see
+    radial._path) takes the exponential of its second half on the helper
+    thread while the caller computes the first.  np.exp works element by
+    element, so the bits are those of one call.
+    """
+    phase = -1j * grid.frequencies**2 * np.asarray(dt, dtype=float)[..., None]
+    if _path(phase.shape) != "workers":
+        return np.exp(phase)
+    out = np.empty_like(phase)
+    h = len(phase) // 2
+    upper = _pool().submit(np.exp, phase[h:], out=out[h:])
+    np.exp(phase[:h], out=out[:h])
+    upper.result()
+    return out
 
 
 def _free_flow_rows(dts: np.ndarray, coeffs: np.ndarray, grid: RadialGrid) -> np.ndarray:
@@ -179,7 +193,7 @@ def _trajectory(grid, times, frames, ctl: StepController, provenance: dict, stat
 
 def _time_span(t_span) -> tuple[float, float]:
     """(t_a, t_b) of an increasing pair of real numbers; the one owner of the time-span rule."""
-    if not (len(t_span) == 2 and all(isinstance(t, numbers.Real) for t in t_span) and t_span[0] < t_span[1]):
+    if not (len(t_span) == 2 and all(map(_is_real, t_span)) and t_span[0] < t_span[1]):
         raise ValueError(f"must be an increasing pair, got {t_span}")
     return float(t_span[0]), float(t_span[1])
 

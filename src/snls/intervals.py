@@ -11,14 +11,13 @@ oracle to certify it.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import asdict, dataclass, field as dc_field, fields, replace
 
 import numpy as np
 
 from . import functionals as fn
 from .evolve import Trajectory, _free_flow_rows
-from .radial import _block_rows, _hardy_mass_rows, to_spectral
+from .radial import _block_rows, _hardy_mass_rows, _is_real, to_spectral
 
 __all__ = [
     "eta_of",
@@ -88,7 +87,7 @@ class ProofConstants:
         for key, value in obj.items():
             if key not in ProofConstants.__dataclass_fields__:
                 raise ValueError(f"unknown constant {key!r}")
-            if not isinstance(value, numbers.Real):
+            if not _is_real(value):
                 raise ValueError(f"constant {key} must be a number, got {value!r}")
         return ProofConstants(**obj)
 
@@ -198,10 +197,15 @@ class IntervalDecomposition:
 
     @staticmethod
     def from_json(obj: dict) -> "IntervalDecomposition":
+        """The decomposition of to_json's layout; a JSON true or false among the numbers is a ValueError."""
         rows = obj["intervals"]
+        columns = {"eta": [obj["eta"]], **{key: [row[key] for row in rows] for key in ("t0", "t1", "mass")}}
+        for key, values in columns.items():
+            if bool in map(type, values):
+                raise ValueError(f"{key} must be a number, got a boolean")
         return IntervalDecomposition(
-            intervals=[(row["t0"], row["t1"]) for row in rows],
-            masses=[row["mass"] for row in rows],
+            intervals=list(zip(columns["t0"], columns["t1"])),
+            masses=columns["mass"],
             eta=float(obj["eta"]),
             flags=[row["flag"] for row in rows],
             classified=True,

@@ -25,6 +25,7 @@ radial integrands (all odd derivatives vanish at both endpoints).
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -50,6 +51,11 @@ __all__ = [
 S_MAX = 4.0  # validity range of the fractional multiplier rho^s
 
 
+def _is_real(value) -> bool:
+    """A real number and not a bool: JSON's true and false pass isinstance(value, numbers.Real), but are not numbers."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _fast_size(n: int) -> bool:
     """Power of two, or n+1 a product of 2, 3 and 5 (the DST-I runs an FFT of length 2(n+1))."""
     if n & (n - 1) == 0:
@@ -69,12 +75,13 @@ class RadialGrid:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 8 or not _fast_size(self.n):
+        n_ok = isinstance(self.n, (int, np.integer)) and not isinstance(self.n, bool)
+        if not n_ok or self.n < 8 or not _fast_size(self.n):
             raise ValueError(
                 f"n must be an integer >= 8 that is a power of two or has n+1 {{2,3,5}}-smooth "
                 f"(n = 2^k - 1 is fastest), got {self.n}"
             )
-        if not (isinstance(self.r_max, numbers.Real) and self.r_max > 0 and np.isfinite(self.r_max)):
+        if not (_is_real(self.r_max) and self.r_max > 0 and np.isfinite(self.r_max)):
             raise ValueError(f"r_max must be positive and finite, got {self.r_max}")
 
     @property
@@ -177,14 +184,28 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-# Lane time over split time, medians of two sets of 20 interleaved one-row calls on a 2-core machine:
-# 0.39-0.40 at n = 2047, 0.82-0.90 at 2048, 0.50-0.52 at 4095, 1.15-1.24 at 4096, 0.70-0.85 at 8191,
-# 1.80-1.81 at 8192, 0.86-0.91 at 16383 and 1.32-1.43 at 16384.  The lane pass wins at every n = 2^k - 1
-# measured and at 2048, the split at the powers of two from 4096 up, so _splits keys on both.
-# The lane gain needs pocketfft's two-wide SIMD; without it both paths still give the same bits.
-def _splits(n: int) -> bool:
-    """Whether complex rows of n samples take the two-thread split: n a power of two from 4096 up, on two or more CPUs."""
-    return n >= 4096 and n & (n - 1) == 0 and _cpus() >= 2
+# Single rows: lane time over split time, medians of two sets of 20 interleaved one-row calls on a 2-core
+# machine: 0.39-0.40 at n = 2047, 0.82-0.90 at 2048, 0.50-0.52 at 4095, 1.15-1.24 at 4096, 0.70-0.85 at
+# 8191, 1.80-1.81 at 8192, 0.86-0.91 at 16383 and 1.32-1.43 at 16384, so the split takes the powers of two
+# from 4096 up.  Blocks: one 16-row block on lanes, then on two pocketfft workers, medians of 7 calls:
+# 0.33 -> 0.43 ms at n = 512, 0.51 -> 0.37 at 1023, 6.45 -> 3.44 at 2048, 34.1 -> 17.4 at 16384, so the
+# workers take rows from _BLOCK_MIN samples up.  The lane gain needs pocketfft's two-wide SIMD; without it
+# every path still gives the same bits.
+_BLOCK_MIN = 1023
+
+
+def _path(shape) -> str:
+    """How _dst1 runs a complex array of this shape: "workers", "split" or "lanes".
+
+    Blocks of two or more rows of at least _BLOCK_MIN samples take the lane
+    view on two pocketfft workers; single rows of a power of two from 4096
+    up take the helper-thread split.  Everything else, and any process that
+    may run on one CPU only, takes the one-thread lane pass.
+    """
+    n = shape[-1]
+    if math.prod(shape[:-1]) >= 2:
+        return "workers" if n >= _BLOCK_MIN and _cpus() >= 2 else "lanes"
+    return "split" if n >= 4096 and n & (n - 1) == 0 and _cpus() >= 2 else "lanes"
 
 
 def _dst1(x: np.ndarray) -> np.ndarray:
@@ -196,17 +217,19 @@ def _dst1(x: np.ndarray) -> np.ndarray:
 
     A complex DST-I is two independent real DST-I's, of the real half and of
     the imaginary half; SciPy runs them one after the other.  Here a
-    complex128 array takes one of two paths, and both give the bits of
-    scipy.fft.dst:
+    complex128 array takes one of three paths (see _path), and all give the
+    bits of scipy.fft.dst:
 
-    * split (rows whose length is a power of two of at least 4096, on two
-      or more CPUs; see _splits): the imaginary half, in place in the
-      output, runs on the helper thread (pocketfft releases the GIL) while
-      the calling thread transforms the real half;
-    * lanes (every other row length, or a process that may run on one CPU
-      only): the array is viewed, without a copy when its last axis is
+    * lanes: the array is viewed, without a copy when its last axis is
       contiguous, as real (..., n, 2) and transformed along the n axis, so
-      pocketfft runs both halves as the two lanes of one SIMD pass.
+      pocketfft runs both halves as the two lanes of one SIMD pass;
+    * workers (blocks of rows of at least 1023 samples, on two or more
+      CPUs): the same lane view with workers=2, so pocketfft shares the
+      lane pairs out over two of its own threads;
+    * split (single rows of a power of two from 4096 up, on two or more
+      CPUs): the imaginary half, in place in the output, runs on the helper
+      thread (pocketfft releases the GIL) while the calling thread
+      transforms the real half.
 
     Each lane, and each half, is the same real transform of the same
     samples, so the bits do not depend on the path; `taskset -c 0` keeps one
@@ -214,16 +237,18 @@ def _dst1(x: np.ndarray) -> np.ndarray:
     """
     if x.dtype != np.complex128:
         return sfft.dst(x, type=1, norm="ortho")
-    if not _splits(x.shape[-1]):
-        if x.strides[-1] != x.itemsize:  # a float64 view needs the real and imaginary parts side by side
-            x = np.ascontiguousarray(x)
-        lanes = x.view(np.float64).reshape(x.shape + (2,))
-        return sfft.dst(lanes, type=1, norm="ortho", axis=-2).view(np.complex128).reshape(x.shape)
-    out = np.array(x)
-    imag = _pool().submit(sfft.dst, out.imag, type=1, norm="ortho", overwrite_x=True)
-    sfft.dst(out.real, type=1, norm="ortho", overwrite_x=True)
-    imag.result()
-    return out
+    path = _path(x.shape)
+    if path == "split":
+        out = np.array(x)
+        imag = _pool().submit(sfft.dst, out.imag, type=1, norm="ortho", overwrite_x=True)
+        sfft.dst(out.real, type=1, norm="ortho", overwrite_x=True)
+        imag.result()
+        return out
+    if x.strides[-1] != x.itemsize:  # a float64 view needs the real and imaginary parts side by side
+        x = np.ascontiguousarray(x)
+    lanes = x.view(np.float64).reshape(x.shape + (2,))
+    workers = 2 if path == "workers" else None
+    return sfft.dst(lanes, type=1, norm="ortho", axis=-2, workers=workers).view(np.complex128).reshape(x.shape)
 
 
 def _volume_rows(f: np.ndarray, grid: RadialGrid) -> np.ndarray:

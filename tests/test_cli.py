@@ -517,7 +517,8 @@ class TestCommands:
         cfg, traj = load_run(run_dir)
         report = diagnose_trajectory(traj, cfg.proof_constants(), cfg.e_mode, cfg.e_declared)
         assert main(["diagnose", str(run_dir)]) == EXIT_OK
-        assert (run_dir / "diagnose.json").read_text() == json.dumps(report, indent=2, sort_keys=True) + "\n"
+        expected = (json.dumps(report, indent=2, sort_keys=True) + "\n").encode()
+        assert (run_dir / "diagnose.json").read_bytes() == expected
 
     def test_select_geometric_instance(self, tmp_path, capsys):
         lengths = [2.0**-k for k in range(20)]
@@ -688,6 +689,38 @@ def test_bad_input_exits_2_with_one_error_line(case, tmp_path, capsys):
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and "Traceback" not in err
+
+
+# JSON's true and false pass isinstance(x, numbers.Real); the owner of each field rejects them by name
+BOOLEAN_FIELDS = [
+    ("simulate", {"amplitude": True}, "initial_data.amplitude"),
+    ("simulate", {"width": True}, "initial_data.width"),
+    ("simulate", {"chirp": False}, "initial_data.chirp"),
+    ("simulate", {"dt_max": True}, "controller.dt_max"),
+    ("simulate", {"theta": True}, "controller.theta"),
+    ("simulate", {"r_max": True}, "grid.r_max"),
+    ("simulate", {"n": True}, "grid.n"),
+    ("simulate", {"seed": True}, "seed"),
+    ("simulate", {"t_span": [False, True]}, "time_span"),
+    ("simulate", {"constants": {"C": True}}, "constants: constant C"),
+    ("simulate", {"e_mode": "declare", "e_declared": True}, "e_declared"),
+    ("select", {"eta": True}, "eta"),
+    ("select", {"t0": False}, "t0"),
+    ("select", {"t1": True}, "t1"),
+    ("select", {"mass": True}, "mass"),
+]
+
+
+@pytest.mark.parametrize("command, fields, name", BOOLEAN_FIELDS, ids=[f"{c}-{n}" for c, _, n in BOOLEAN_FIELDS])
+def test_json_boolean_is_not_a_number(command, fields, name, tmp_path, capsys):
+    if command == "simulate":
+        argv = ["simulate", "--config", str(write_cfg(tmp_path, **fields)), "--out", str(tmp_path / "r")]
+    else:
+        argv = ["select", _instance(tmp_path, **fields)]
+    assert main(argv) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and name in err, err
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("E", ["1e21", "1e160", "1.7e308"])

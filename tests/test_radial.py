@@ -1,5 +1,6 @@
 """Transforms, multipliers, and norms against quadrature/closed-form oracles."""
 
+import importlib
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -29,6 +30,7 @@ from snls.radial import (
 from conftest import gaussian_field, random_smooth_field
 
 SC = 7.0 / 6.0
+evolve = importlib.import_module("snls.evolve")  # the package re-exports the function evolve under this name
 
 
 class TestGrid:
@@ -110,14 +112,20 @@ def _complex_rows(shape, seed=0):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def _child_dst1(n):
-    """Runs in a worker process: _dst1 of a fixed complex row, as bytes."""
-    return radial._dst1(_complex_rows(n)).tobytes()
+def _propagator_dts(rows, seed=0):
+    return np.random.default_rng(seed).uniform(-0.5, 0.5, rows)
+
+
+def _child_transforms():
+    """Runs in a worker process: a split row, a (16, 4096) block on two workers and a propagator block, as bytes."""
+    grid = RadialGrid(20.0, 4096)
+    return (radial._dst1(_complex_rows(4096)).tobytes(), radial._dst1(_complex_rows((16, 4096))).tobytes(),
+            evolve._propagator(grid, _propagator_dts(16)).tobytes())
 
 
 @pytest.fixture
 def two_cpus(monkeypatch):
-    """Affinity reads two CPUs, so rows of a power of two from 4096 up take the two-thread split even on one core."""
+    """Affinity reads two CPUs, so the two-thread paths run even on one core."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
 
@@ -150,7 +158,8 @@ class TestSplitTransform:
         expected = sfft.dst(np.ascontiguousarray(x), type=1, norm="ortho").tobytes()
         assert radial._dst1(x).tobytes() == expected
 
-    # the split takes the powers of two from 4096 up, on two CPUs; every other length, and one CPU, the lanes
+    # a single row splits at the powers of two from 4096 up, on two CPUs, and takes the lanes otherwise (the lanes
+    # column); a block takes the lanes on two pocketfft workers from 1023 samples up, on two CPUs, and on one otherwise
     @pytest.mark.parametrize("n, cpus, lanes", [
         (8191, {0, 1}, True),
         (8192, {0}, True),
@@ -160,19 +169,27 @@ class TestSplitTransform:
         (4096, {0, 1}, False),
         (16383, {0, 1}, True),
         (16384, {0, 1}, False),
+        (511, {0, 1}, True),
+        (1022, {0, 1}, True),
+        (1023, {0, 1}, True),
+        (1023, {0}, True),
     ])
     def test_lane_pass_is_one_real_transform(self, monkeypatch, n, cpus, lanes):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
         calls, real_dst = [], sfft.dst
 
         def spy(a, **kw):
-            calls.append((a.dtype, a.shape, kw.get("axis")))
+            calls.append((a.dtype, a.shape, kw.get("axis"), kw.get("workers")))
             return real_dst(a, **kw)
 
         monkeypatch.setattr(radial.sfft, "dst", spy)
-        radial._dst1(_complex_rows((2, n)))
         f8 = np.dtype(np.float64)
-        assert calls == ([(f8, (2, n, 2), -2)] if lanes else [(f8, (2, n), None)] * 2)  # one two-lane pass, or two halves
+        radial._dst1(_complex_rows(n))
+        assert calls == ([(f8, (n, 2), -2, None)] if lanes else [(f8, (n,), None, None)] * 2)  # one pass, or two halves
+        calls.clear()
+        radial._dst1(_complex_rows((2, n)))
+        workers = 2 if n >= 1023 and len(cpus) >= 2 else None
+        assert calls == [(f8, (2, n, 2), -2, workers)]  # a block is always one two-lane pass
 
     def test_split_runs_on_the_helper_thread(self, two_cpus, monkeypatch):
         submitted = []
@@ -192,21 +209,49 @@ class TestSplitTransform:
         assert radial._dst1(x).tobytes() == sfft.dst(x, type=1, norm="ortho").tobytes()
 
     def test_forked_child_starts_its_own_helper_thread(self, two_cpus):
-        # the parent's helper thread exists before the fork; the children inherit the pool object without it
-        n = 4096
-        expected = sfft.dst(_complex_rows(n), type=1, norm="ortho").tobytes()
-        assert _child_dst1(n) == expected
+        # the parent's helper thread and pocketfft's workers exist before the fork; the children inherit neither
+        grid = RadialGrid(20.0, 4096)
+        expected = (sfft.dst(_complex_rows(4096), type=1, norm="ortho").tobytes(),
+                    sfft.dst(_complex_rows((16, 4096)), type=1, norm="ortho").tobytes(),
+                    np.exp(-1j * grid.frequencies**2 * _propagator_dts(16)[:, None]).tobytes())
+        assert _child_transforms() == expected
         ex = ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("fork"))
         try:
-            futures = [ex.submit(_child_dst1, n) for _ in range(4)]
+            futures = [ex.submit(_child_transforms) for _ in range(4)]
             results = [f.result(timeout=60) for f in futures]
         except FutureTimeout:
             for proc in list(ex._processes.values()):
                 proc.kill()
-            pytest.fail("a forked child hung in _dst1")
+            pytest.fail("a forked child hung in a two-thread path")
         finally:
             ex.shutdown(wait=False, cancel_futures=True)
         assert results == [expected] * 4
+
+
+class TestBlockThreads:
+    """Blocks of rows on two threads: pocketfft's workers for the transform, the helper for the propagator."""
+
+    @pytest.mark.parametrize("cpus", [{0, 1}, {0}])
+    @pytest.mark.parametrize("n", [511, 1023, 2048, 4096, 16384])
+    @pytest.mark.parametrize("rows", [2, 5, 16])
+    def test_block_equals_scipy_byte_for_byte(self, monkeypatch, rows, n, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        x = _complex_rows((rows, n), seed=rows)
+        assert radial._dst1(x).tobytes() == sfft.dst(x, type=1, norm="ortho").tobytes()
+
+    @pytest.mark.parametrize("cpus", [{0, 1}, {0}])
+    @pytest.mark.parametrize("n", [511, 2048, 16384])
+    @pytest.mark.parametrize("rows", [2, 5, 16])
+    def test_propagator_equals_one_exp(self, monkeypatch, rows, n, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        submitted, pool = [], radial._pool()
+        monkeypatch.setattr(evolve, "_pool", lambda: submitted.append(1) or pool)
+        grid = RadialGrid(20.0, n)
+        dts = _propagator_dts(rows, seed=rows)
+        expected = np.exp(-1j * grid.frequencies**2 * dts[:, None])
+        assert evolve._propagator(grid, dts).tobytes() == expected.tobytes()
+        assert evolve._propagator(grid, dts[0]).tobytes() == expected[0].tobytes()  # a scalar dt: one row, one call
+        assert submitted == ([1] if n >= 1023 and len(cpus) >= 2 else [])  # the block's second half only
 
 
 class TestFractional:
