@@ -7,8 +7,10 @@ bounds the nonlinear phase increment |u|^6 dt per step.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
+import time
 from dataclasses import asdict, dataclass, field as dc_field, fields
 
 import numpy as np
@@ -282,7 +284,15 @@ def evolve(
     'dt_underflow') or when sup|u| exceeds the blow-up ceiling (status
     'blowup_abort').  A boundary-mass breach only sets a flag; the run
     continues.  on_frame(t, field, stats), when given, fires at every
-    stored frame including the initial one.
+    stored frame including the initial one, in frame order and one frame
+    at a time, under the caller's context (its np.errstate included).
+    Where blocks of rows take two threads (radial._path), each frame's
+    statistics and on_frame run on the frame thread while the stepper
+    runs on: the stepper waits for frame k-1 before it hands over frame
+    k, so at most one frame is in flight.  An exception of on_frame then
+    surfaces at the next frame or when evolve ends, unless the stepper has
+    raised first; evolve returns or raises only once no frame is in
+    flight.
 
     Steps are `_step`'s, fused on raw arrays: the closing half-phase
     of one step and the opening half-phase of the next are applied as one
@@ -290,7 +300,10 @@ def evolve(
     phase leaves |u| unchanged.  Each snapshot segment starts from the
     stored frame and closes with the pending half-phase, so a run resumed
     from a frame repeats the original bytes.  provenance['telemetry']
-    records accepted steps, rejected halvings and the dt range.
+    records accepted steps, rejected halvings, the dt range, the wall
+    seconds of frame work (frame_s, on whichever thread ran it) and the
+    seconds the stepper spent on it (frame_wait_s: its waits for the frame
+    thread, or all of frame_s where the work runs inline).
     """
     t_a, t_b = _time_span(t_span)
     g = u0.grid
@@ -301,56 +314,88 @@ def evolve(
 
     times, stats = [], []
     frames = np.empty((snap_times.size + 1, g.n), dtype=np.complex128)  # every frame a run can store
+    pool = _pool("frames") if _path((2, g.n)) == "workers" else None  # the frame thread, where blocks take two
+    context = contextvars.copy_context()  # the frame work runs under the caller's np.errstate
+    inflight = None  # the future of the frame whose work the frame thread holds
+    frame_s = frame_wait_s = 0.0
 
-    def store(t: float, field: RadialField) -> None:
+    def finish(t: float, field: RadialField) -> None:
+        nonlocal frame_s
+        start = time.perf_counter()
         st = _frame_stats(field.values[None], g, ctl)
-        frames[len(times)] = field.values
-        times.append(t)
         stats.append(st)
         if on_frame is not None:
             on_frame(t, field, {k: x[0] for k, x in zip(_DENSITY_KEYS, st)})
+        frame_s += time.perf_counter() - start
 
-    store(t_a, u0)
+    def settle() -> None:
+        """Wait for the frame in flight, and raise its exception here."""
+        nonlocal inflight, frame_wait_s
+        if inflight is not None:
+            start = time.perf_counter()
+            done, inflight = inflight, None
+            try:
+                done.result()
+            finally:
+                frame_wait_s += time.perf_counter() - start
+
+    def store(t: float, field: RadialField) -> None:
+        nonlocal inflight
+        settle()
+        frames[len(times)] = field.values
+        times.append(t)
+        if pool is None:
+            finish(t, field)
+        else:
+            inflight = pool.submit(context.run, finish, t, field)
+
     status = "ok"
     steps = halvings = 0
     dt_lo, dt_hi = math.inf, 0.0
     u, t = u0.values, t_a
-    for t_next in snap_times.tolist():
-        # v is the field before its pending closing half-phase of length `pending`
-        v, q, pending = u, _modulus2(u), 0.0
-        qmax = float(q.max())
-        while status == "ok":
-            rem = t_next - t
-            if rem <= 1e-12 * max(1.0, abs(t_next)):
-                break
-            sup = math.sqrt(qmax)
-            if sup > ctl.blowup_ceiling:
-                status = "blowup_abort"
-                break
-            with np.errstate(over="ignore"):  # sup^6 overflows to inf, and dt_raw to 0
-                dt_raw = min(ctl.dt_max, ctl.theta / max(1e-12, float(np.float64(sup) ** 6)))
-            dt = min(dt_raw, rem)
-            if not t + dt > t:  # a zero, NaN or unresolvable step would never reach t_next
-                status = "dt_underflow"
-                break
-            while (out := _step(v, q, pending, dt, propagator(dt), r)) is None:
-                halvings += 1
-                dt /= 2.0
-                if dt < 1e-12 * dt_raw:
+    try:
+        store(t_a, u0)
+        for t_next in snap_times.tolist():
+            # v is the field before its pending closing half-phase of length `pending`
+            v, q, pending = u, _modulus2(u), 0.0
+            qmax = float(q.max())
+            while status == "ok":
+                rem = t_next - t
+                if rem <= 1e-12 * max(1.0, abs(t_next)):
+                    break
+                sup = math.sqrt(qmax)
+                if sup > ctl.blowup_ceiling:
+                    status = "blowup_abort"
+                    break
+                with np.errstate(over="ignore"):  # sup^6 overflows to inf, and dt_raw to 0
+                    dt_raw = min(ctl.dt_max, ctl.theta / max(1e-12, float(np.float64(sup) ** 6)))
+                dt = min(dt_raw, rem)
+                if not t + dt > t:  # a zero, NaN or unresolvable step would never reach t_next
                     status = "dt_underflow"
                     break
+                while (out := _step(v, q, pending, dt, propagator(dt), r)) is None:
+                    halvings += 1
+                    dt /= 2.0
+                    if dt < 1e-12 * dt_raw:
+                        status = "dt_underflow"
+                        break
+                if status != "ok":
+                    break
+                (v, q, qmax), pending = out, 0.5 * dt
+                t += dt
+                steps += 1
+                dt_lo, dt_hi = min(dt_lo, dt), max(dt_hi, dt)
             if status != "ok":
                 break
-            (v, q, qmax), pending = out, 0.5 * dt
-            t += dt
-            steps += 1
-            dt_lo, dt_hi = min(dt_lo, dt), max(dt_hi, dt)
-        if status != "ok":
-            break
-        t = t_next
-        field = RadialField(g, _rotate(v, q, pending) if pending else v)
-        u = field.values
-        store(t, field)
+            t = t_next
+            field = RadialField(g, _rotate(v, q, pending) if pending else v)
+            u = field.values
+            store(t, field)
+    except BaseException:
+        if inflight is not None:  # wait for the frame in flight; the stepper's exception wins over its own
+            inflight.exception()
+        raise
+    settle()
 
     prov = dict(provenance or {})
     prov.setdefault("controller", asdict(ctl))
@@ -359,6 +404,8 @@ def evolve(
         "halvings": halvings,
         "dt_min": dt_lo if steps else None,
         "dt_max": dt_hi if steps else None,
+        "frame_s": frame_s,
+        "frame_wait_s": frame_s if pool is None else frame_wait_s,
     }
     return _trajectory(g, times, frames[:len(times)], ctl, prov, status, np.concatenate(stats, axis=-1))
 

@@ -169,12 +169,19 @@ def _block_rows(frames: np.ndarray, rows, *args) -> np.ndarray:
 
 
 @functools.cache
-def _pool() -> ThreadPoolExecutor:
-    """The one helper thread of this process, started on first use."""
-    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="snls-dst")
+def _pool(role: str = "dst") -> ThreadPoolExecutor:
+    """The one thread of this process for a role, started on first use.
+
+    "dst" is the helper of the two-thread transform paths: the second half
+    of a split row, and of a propagator block.  "frames" is evolve's frame
+    thread, which finishes each stored frame while the stepper runs on.
+    Frame work may submit to the "dst" helper, never the other way round, so
+    no thread waits on work queued behind itself.
+    """
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix=f"snls-{role}")
 
 
-# a forked child inherits the pool object but not its thread: it starts its own on first use
+# a forked child inherits the pool objects but not their threads: it starts its own on first use
 if hasattr(os, "register_at_fork"):  # POSIX; elsewhere no process is forked
     os.register_at_fork(after_in_child=_pool.cache_clear)
 

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,12 @@ def grid_small():
 @pytest.fixture(scope="session")
 def grid_desk():
     return RadialGrid(40.0, 4096)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Affinity reads two CPUs, so the two-thread paths run even on one core."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
 
 def gaussian_field(grid, amplitude=1.0, width=1.0, chirp=0.0):

@@ -7,6 +7,7 @@ import io
 import itertools
 import json
 import math
+import os
 import re
 import shutil
 import struct
@@ -25,7 +26,7 @@ from snls.checkpoints import (
     truncate_trajectory_frames,
     write_field,
 )
-from snls import intervals
+from snls import intervals, radial
 from snls.cli import EXIT_BLOWUP, EXIT_CONFIG, EXIT_OK, diagnose_trajectory, load_run, main, run_simulation
 from snls.config import FAMILIES, ConfigError, RunConfig, initial_field
 from snls.evolve import StepController, rebuild_trajectory
@@ -308,6 +309,15 @@ class TestSimulate:
         assert code == EXIT_BLOWUP
         assert json.loads((tmp_path / "run" / "manifest.json").read_text())["status"] == "dt_underflow"
 
+    @pytest.mark.filterwarnings("error")
+    def test_dt_overflow_exit_status_on_the_frame_thread(self, tmp_path, two_cpus):
+        # n >= 1023 on two CPUs: the frame statistics run on the frame thread, under the caller's np.errstate
+        cfg_path = write_cfg(tmp_path, n=1023, amplitude=1e60, blowup_ceiling=float("inf"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+        assert code == EXIT_BLOWUP
+        assert json.loads((tmp_path / "run" / "manifest.json").read_text())["status"] == "dt_underflow"
+
     def test_zero_amplitude_clean(self, tmp_path):
         cfg = RunConfig.from_dict({**FAST, "amplitude": 0.0})
         traj, code = run_simulation(cfg, tmp_path / "run")
@@ -386,6 +396,24 @@ class TestCheckpointWrittenOnce:
             run_simulation(RunConfig.from_dict(FAST), tmp_path / "run")
         assert read_trajectory_frames(tmp_path / "run" / "frames.snls")[1].size == 3
         self._assert_checkpoint_is_last_record(tmp_path / "run")
+
+    def test_exception_after_third_frame_on_the_frame_thread(self, tmp_path, monkeypatch, two_cpus):
+        # at n = 2048 on two CPUs on_frame runs on the frame thread; its exception still leaves exactly three records
+        assert radial._path((2, 2048)) == "workers"
+        self._evolve_raising_after(monkeypatch, 3)
+        with pytest.raises(RuntimeError, match="after 3 frames"):
+            run_simulation(RunConfig.from_dict({**FAST, "n": 2048}), tmp_path / "run")
+        assert read_trajectory_frames(tmp_path / "run" / "frames.snls")[1].size == 3
+        self._assert_checkpoint_is_last_record(tmp_path / "run")
+
+    def test_same_files_on_one_and_two_cpus(self, tmp_path, monkeypatch):
+        # n = 2048: the frame thread writes the frame log and the CSV on two CPUs, the stepper itself on one
+        cfg = RunConfig.from_dict({**FAST, "n": 2048, "chirp": -0.5})
+        for cpus in ({0, 1}, {0}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            assert run_simulation(cfg, tmp_path / str(len(cpus)))[1] == EXIT_OK
+        for name in ("frames.snls", "densities.csv", "checkpoint.snls"):
+            assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "1" / name).read_bytes(), name
 
     def test_resume_of_log_cut_mid_record(self, tmp_path):
         cfg = RunConfig.from_dict(FAST)

@@ -1,6 +1,10 @@
 """Free flow, split stepping, adaptive evolution, and Duhamel machinery."""
 
 import importlib
+import os
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -22,6 +26,7 @@ from snls.evolve import (
     strang_step,
 )
 from snls.functionals import mass, s_density
+from snls import radial
 from snls.radial import RadialField, RadialGrid, lebesgue_norm, sobolev_norm
 
 from conftest import gaussian_field, random_smooth_field
@@ -210,6 +215,17 @@ class TestEvolve:
         assert traj.status == "dt_underflow"
         assert traj.times.size == 1 and traj.provenance["telemetry"]["steps"] == 0
 
+    @pytest.mark.filterwarnings("error")
+    def test_dt_overflow_on_the_frame_thread(self, two_cpus):
+        # the caller's np.errstate governs the frame statistics on the frame thread too (n >= 1023, two CPUs)
+        ctl = StepController(dt_max=0.01, snapshot_stride=0.05, blowup_ceiling=np.inf)
+        names = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = evolve(gaussian_field(RadialGrid(20.0, 1023), amplitude=1e60), (0.0, 0.2), ctl,
+                          on_frame=lambda t, field, stats: names.append(threading.current_thread().name))
+        assert traj.status == "dt_underflow" and names == ["snls-frames_0"]
+        assert traj.times.size == 1 and traj.provenance["telemetry"]["steps"] == 0
+
     def test_rebuilt_densities_match_across_blocks(self, grid_small):
         # 41 frames span three blocks; evolve computes each frame's densities on its own
         ctl = StepController(dt_max=0.005, snapshot_stride=0.01)
@@ -305,6 +321,82 @@ class TestFusedStepping:
         ref = strang_reference(u0, (0.0, 0.05), ctl, halve_step=2)
         rel = np.abs(traj.frames - ref).max(axis=1) / np.abs(ref).max(axis=1)
         assert rel.max() <= 1e-12
+
+
+class TestFrameThread:
+    """At n >= 1023 on two CPUs each stored frame's statistics and on_frame run on the frame thread."""
+
+    CTL = StepController(dt_max=0.0025, snapshot_stride=0.005)
+    U0 = gaussian_field(RadialGrid(20.0, 2048), amplitude=1.4, chirp=-0.5)
+
+    @classmethod
+    def _run(cls, on_frame=None):
+        seen = []
+
+        def record(t, field, stats):
+            seen.append((t, threading.current_thread().name, stats))
+            if on_frame is not None:
+                on_frame(t, field, stats)
+
+        return evolve(cls.U0, (0.0, 0.05), cls.CTL, on_frame=record), seen
+
+    def test_same_bytes_on_one_and_two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the stepper and the frame thread trade the GIL as often as they can
+        try:
+            two, seen_two = self._run()
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        one, seen_one = self._run()
+        assert two.times.size == 11 and two.frames.tobytes() == one.frames.tobytes()
+        for k, v in one.densities.items():
+            assert two.densities[k].tobytes() == v.tobytes(), k
+        counters = ("steps", "halvings", "dt_min", "dt_max")
+        assert [two.provenance["telemetry"][k] for k in counters] == [one.provenance["telemetry"][k] for k in counters]
+        # on_frame runs off the main thread, in frame order, with the stats of one thread
+        assert [name for _, name, _ in seen_two] == ["snls-frames_0"] * 11
+        assert [name for _, name, _ in seen_one] == [threading.current_thread().name] * 11
+        assert [t for t, _, _ in seen_two] == [t for t, _, _ in seen_one] == two.times.tolist()
+        assert [stats for _, _, stats in seen_two] == [stats for _, _, stats in seen_one]
+        tel = two.provenance["telemetry"]
+        assert 0 <= tel["frame_wait_s"] and 0 < tel["frame_s"]
+        assert one.provenance["telemetry"]["frame_wait_s"] == one.provenance["telemetry"]["frame_s"]
+
+    @pytest.mark.parametrize("k", [1, 5, 11])
+    def test_frame_exception_surfaces(self, two_cpus, k):
+        # raised on the frame thread at frame k, it surfaces when frame k + 1 is handed over (no later frame reaches
+        # on_frame), or when evolve ends
+        calls = []
+
+        def failing(t, field, stats):
+            calls.append(t)
+            if len(calls) == k:
+                raise ValueError(f"frame {k} failed")
+
+        with pytest.raises(ValueError, match=f"frame {k} failed"):
+            self._run(failing)
+        assert len(calls) == k
+
+    def test_stepper_exception_wins_and_drains(self, two_cpus, monkeypatch):
+        evolve_mod = importlib.import_module("snls.evolve")  # the package's `evolve` is the function
+
+        def failing_step(*args):
+            raise RuntimeError("step failed")
+
+        finished = []
+
+        def slow_frame(t, field, stats):
+            time.sleep(0.2)  # still in flight when the first step raises
+            finished.append(t)
+            raise ValueError("frame failed")
+
+        monkeypatch.setattr(evolve_mod, "_step", failing_step)
+        with pytest.raises(RuntimeError, match="step failed"):
+            self._run(slow_frame)
+        assert finished == [0.0]  # evolve raised only once the frame in flight was done
+        assert radial._pool("frames").submit(int).result(timeout=5) == 0
 
 
 @pytest.fixture(scope="module")

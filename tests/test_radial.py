@@ -3,6 +3,7 @@
 import importlib
 import multiprocessing
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 
@@ -123,10 +124,13 @@ def _child_transforms():
             evolve._propagator(grid, _propagator_dts(16)).tobytes())
 
 
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """Affinity reads two CPUs, so the two-thread paths run even on one core."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+def _child_evolve():
+    """Runs in a worker process: a short n = 2048 run, as frame bytes and the names of the threads its frames ran on."""
+    ctl = evolve.StepController(dt_max=0.0025, snapshot_stride=0.005)
+    names = []
+    traj = evolve.evolve(gaussian_field(RadialGrid(20.0, 2048)), (0.0, 0.02), ctl,
+                         on_frame=lambda t, field, stats: names.append(threading.current_thread().name))
+    return traj.frames.tobytes(), names
 
 
 class TestSplitTransform:
@@ -209,15 +213,18 @@ class TestSplitTransform:
         assert radial._dst1(x).tobytes() == sfft.dst(x, type=1, norm="ortho").tobytes()
 
     def test_forked_child_starts_its_own_helper_thread(self, two_cpus):
-        # the parent's helper thread and pocketfft's workers exist before the fork; the children inherit neither
+        # the parent's helper and frame threads and pocketfft's workers exist before the fork; the children inherit
+        # none of them
         grid = RadialGrid(20.0, 4096)
         expected = (sfft.dst(_complex_rows(4096), type=1, norm="ortho").tobytes(),
                     sfft.dst(_complex_rows((16, 4096)), type=1, norm="ortho").tobytes(),
                     np.exp(-1j * grid.frequencies**2 * _propagator_dts(16)[:, None]).tobytes())
         assert _child_transforms() == expected
+        frames, names = _child_evolve()
+        assert names == ["snls-frames_0"] * 5
         ex = ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("fork"))
         try:
-            futures = [ex.submit(_child_transforms) for _ in range(4)]
+            futures = [ex.submit(_child_transforms) for _ in range(4)] + [ex.submit(_child_evolve) for _ in range(4)]
             results = [f.result(timeout=60) for f in futures]
         except FutureTimeout:
             for proc in list(ex._processes.values()):
@@ -225,7 +232,7 @@ class TestSplitTransform:
             pytest.fail("a forked child hung in a two-thread path")
         finally:
             ex.shutdown(wait=False, cancel_futures=True)
-        assert results == [expected] * 4
+        assert results == [expected] * 4 + [(frames, names)] * 4
 
 
 class TestBlockThreads:
