@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import functionals as fn
-from .intervals import ProofConstants, eta_of
+from .intervals import ProofConstants, _cut_count, eta_of
 from .radial import _block_rows, _fractional_rows, _lp_rows
 
 __all__ = [
@@ -317,7 +317,8 @@ def bootstrap_monitor(traj, mode: str, params: dict, constants: ProofConstants):
     of the cut of the whole run, so the run is cut once and each record
     reads its prefix.  Only a record's last cut is its own: the cut of
     [0, T_m] stops at T_m, which the run's cut passes where n * quantum
-    rounds above cum_s15[m].
+    rounds above cum_s15[m].  A cut that cannot fit in physical memory
+    raises intervals.PartitionTooLarge.
     """
     if mode not in ("theorem1", "corollary"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -390,7 +391,8 @@ def bootstrap_monitor(traj, mode: str, params: dict, constants: ProofConstants):
         ig = fn.series_integral_between(times, cum_g[S_CRITICAL], a, b)
         return float(d["H_sc"][sel].max()) + i15 ** (1.0 / 15.0) + ig ** 0.3
 
-    cuts = np.interp(np.arange(counts[reach[-1]] + 1) * quantum, cum_s15, times)
+    n = _cut_count(float(cum_s15[reach[-1] + 1]), quantum, counts[reach[-1]])
+    cuts = np.interp(np.arange(n + 1) * quantum, cum_s15, times)
     lo, hi = fn._frame_windows(times, cuts[:-1], cuts[1:])
     held = np.flatnonzero(hi > lo)
     s_held = [interval_s(cuts[j], cuts[j + 1]) for j in held]

@@ -1,8 +1,9 @@
 """Command-line harness: simulate, diagnose, select, bounds, sweep.
 
-Exit statuses: 0 clean, 2 bad configuration or arguments, 3 blow-up-guard
-abort, 4 completed with a boundary-mass breach.  The environment variable
-SNLS_RUN_ROOT, when set, resolves relative output directories.
+Exit statuses: 0 clean, 2 bad configuration or arguments or a partition
+too large to allocate, 3 blow-up-guard abort, 4 completed with a
+boundary-mass breach.  The environment variable SNLS_RUN_ROOT, when set,
+resolves relative output directories.
 """
 
 from __future__ import annotations
@@ -274,18 +275,17 @@ def _cmd_bounds(args) -> int:
     run_dir = Path(args.monitor) if args.monitor else None
     traj = load_run(run_dir)[1] if run_dir else None  # a bad run directory ends the command before any output
     report = bd.build_bound_report(args.E, args.M, args.delta, constants)
+    plan = report.plan
+    records = None if traj is None else bd.bootstrap_monitor(  # before any output: it can raise PartitionTooLarge
+        traj, "theorem1",
+        {"log_R0": plan.R0.log_value, "delta": args.delta, "E0": max(args.E, 1.0), "m_ceiling": plan.m_ceiling},
+        constants,
+    )
     payload = json.dumps(report.to_json(), indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(payload + "\n")
     print(payload)
-    if traj is not None:
-        plan = report.plan
-        records = bd.bootstrap_monitor(
-            traj, "theorem1",
-            {"log_R0": plan.R0.log_value, "delta": args.delta, "E0": max(args.E, 1.0),
-             "m_ceiling": plan.m_ceiling},
-            constants,
-        )
+    if records is not None:
         trail = run_dir / "monitor.jsonl"
         with open(trail, "w") as f:
             for rec in records:
@@ -398,7 +398,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, iv.PartitionTooLarge, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -11,6 +11,7 @@ oracle to certify it.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import asdict, dataclass, field as dc_field, fields, replace
 
 import numpy as np
@@ -24,6 +25,7 @@ __all__ = [
     "ProofConstants",
     "IntervalDecomposition",
     "SelectionResult",
+    "PartitionTooLarge",
     "partition_by_eta",
     "partition_trajectory",
     "classify",
@@ -233,13 +235,33 @@ class SelectionResult:
         }
 
 
+class PartitionTooLarge(ValueError):
+    """A threshold-mass partition with more cuts than physical memory can hold."""
+
+
+def _cut_count(total: float, eta: float, J) -> int:
+    """J, the number of full intervals of mass eta in int s dt = total, as an int.
+
+    Every caller that allocates the cuts of a threshold-mass partition asks
+    here first: when J + 1 float64 cuts cannot fit in physical memory, this
+    raises PartitionTooLarge before numpy is asked for the array.
+    """
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if not (J + 1) * 8 <= memory:
+        raise PartitionTooLarge(f"partition too large: int s dt = {total:.6g} in pieces of eta = {eta:.6g} "
+                                f"makes J = {J:.6g} intervals, whose J + 1 cuts need more than the "
+                                f"{memory} bytes of physical memory")
+    return int(J)
+
+
 def partition_by_eta(times, density, eta: float) -> IntervalDecomposition:
     """Greedy left-to-right cut whenever the running L^15 mass reaches eta.
 
     The cumulative integral is trapezoidal over the samples and linearly
     interpolated between them, so every non-tail interval carries mass in
     [eta, 2*eta] (exactly eta except possibly the last, which absorbs a
-    terminal sliver).  A remainder below eta becomes a flagged tail.
+    terminal sliver).  A remainder below eta becomes a flagged tail.  Cuts
+    that cannot fit in physical memory raise PartitionTooLarge.
     """
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta}")
@@ -258,7 +280,7 @@ def partition_by_eta(times, density, eta: float) -> IntervalDecomposition:
             intervals=((t_a, t_b),), masses=(total,), eta=eta, flags=(TAIL,)
         )
 
-    n_full = int(np.floor(total / eta + 1e-12))
+    n_full = _cut_count(total, eta, np.floor(total / eta + 1e-12))
     remainder = total - n_full * eta
     merge_sliver = remainder <= 1e-9 * eta
     targets = np.arange(1, n_full if merge_sliver else n_full + 1) * eta  # a merged sliver ends at t_b

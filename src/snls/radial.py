@@ -33,7 +33,6 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 import scipy.fft as sfft
-from scipy.interpolate import CubicSpline
 
 __all__ = [
     "RadialGrid",
@@ -352,12 +351,15 @@ def rescale(field: RadialField, lam: float) -> RadialField:
 
     Samples of u beyond r_max are treated as zero; if more than 1% of the
     L2 mass lives there the result carries meta['truncation_warning'].
+    ``import snls`` loads numpy and scipy.fft only; rescale loads
+    scipy.interpolate on first use.
     """
     if not (lam > 0 and np.isfinite(lam)):
         raise ValueError(f"lambda must be positive and finite, got {lam}")
     g = field.grid
     if lam == 1.0:
         return field
+    from scipy.interpolate import CubicSpline  # not at module level: it adds ~0.2 s and ~24 MiB to every process
     # interpolate w = r*u (vanishes at both ends) on the closed node set
     r_closed = np.concatenate(([0.0], g.nodes, [g.r_max]))
     w_closed = np.concatenate(([0.0], field.w, [0.0]))

@@ -705,6 +705,13 @@ BAD_INPUTS = {
     "diagnose_frame_log_nan_in_last_of_40": lambda tmp: _corrupt_frame_log(tmp, "u", 39, math.nan,
                                                                            t_span=[0.0, 0.39]),
     "diagnose_frame_log_times_not_increasing": lambda tmp: _corrupt_frame_log(tmp, "t", 4, 0.0),
+    # eta = (1/C2)(1+E)^-C2 cuts the run's int s dt into ~5e46 intervals, more cuts than physical memory holds
+    "diagnose_partition_too_large": lambda tmp: [
+        "diagnose", str(_simulated_run(tmp)), "--constants", _input_file(tmp, "c.json", {"C2": 60})],
+    # the monitor's cut quantum (1/(4 C_tilde))^(5/2) makes ~7e21 intervals; bounds.json is not written either
+    "bounds_monitor_partition_too_large": lambda tmp: [
+        "bounds", "--E", "1.0", "--delta", "1e-8", "--constants", _input_file(tmp, "c.json", {"C_tilde": 1e8}),
+        "--monitor", str(_simulated_run(tmp)), "--out", str(tmp / "bounds.json")],
 }
 
 
@@ -717,6 +724,7 @@ def test_bad_input_exits_2_with_one_error_line(case, tmp_path, capsys):
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "bounds.json").exists()
 
 
 # JSON's true and false pass isinstance(x, numbers.Real); the owner of each field rejects them by name

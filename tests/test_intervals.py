@@ -4,12 +4,13 @@ import dataclasses
 import itertools
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from snls import functionals as fn
+from snls import functionals as fn, intervals
 from snls.evolve import StepController, Trajectory, evolve, free_evolve, linear_trajectory
 from snls.functionals import (
     cumulative_series_integral,
@@ -24,6 +25,7 @@ from snls.intervals import (
     UNEXCEPTIONAL,
     ConcentrationCertificate,
     IntervalDecomposition,
+    PartitionTooLarge,
     ProofConstants,
     SelectionResult,
     brute_force_chain,
@@ -199,6 +201,22 @@ class TestPartition:
     def test_rejects_negative_density(self):
         with pytest.raises(ValueError):
             partition_by_eta([0.0, 1.0], [1.0, -0.5], 0.1)
+
+    def test_cuts_past_physical_memory_raise_before_allocating(self):
+        # numpy would be asked for 1e300 cuts; the error names int s dt, eta and J instead
+        with pytest.raises(PartitionTooLarge, match=r"int s dt = 4 in pieces of eta = 1e-300 makes J = 4e\+300 "):
+            partition_by_eta([0.0, 1.0], [4.0, 4.0], 1e-300)
+
+    @pytest.mark.parametrize("memory, fits", [(40, True), (39, False)])
+    def test_cut_count_rule(self, memory, fits, monkeypatch):
+        # J = 4 intervals of mass 1 have J + 1 = 5 float64 cuts: 40 bytes of physical memory
+        pages = {"SC_PHYS_PAGES": memory, "SC_PAGE_SIZE": 1}
+        monkeypatch.setattr(intervals, "os", SimpleNamespace(sysconf=pages.__getitem__))
+        if fits:
+            assert len(partition_by_eta([0.0, 1.0], [4.0, 4.0], 1.0)) == 4
+        else:
+            with pytest.raises(PartitionTooLarge, match="J = 4 intervals"):
+                partition_by_eta([0.0, 1.0], [4.0, 4.0], 1.0)
 
 
 class TestClassify:

@@ -3,6 +3,9 @@
 import importlib
 import multiprocessing
 import os
+import subprocess
+import sys
+import textwrap
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
@@ -383,6 +386,32 @@ class TestRescale:
         f = gaussian_field(grid_small)
         with pytest.raises(ValueError):
             rescale(f, 0.0)
+
+    def test_scipy_interpolate_loads_on_first_use(self):
+        # a fresh interpreter: import snls keeps scipy.interpolate and what it pulls in off the start-up path
+        script = textwrap.dedent("""
+            import sys
+            import numpy as np
+            import snls, snls.cli
+            from snls.radial import RadialField, RadialGrid, rescale
+            heavy = ("scipy.interpolate", "scipy.optimize", "scipy.linalg", "scipy.sparse", "scipy.spatial")
+            loaded = [m for m in sys.modules if any(m == h or m.startswith(h + ".") for h in heavy)]
+            assert not loaded, loaded
+            g = RadialGrid(20.0, 256)
+            f = RadialField(g, np.exp(-g.nodes ** 2 / 2) * np.exp(0.3j * g.nodes ** 2))
+            v = rescale(f, 2.0)
+            assert "scipy.interpolate" in sys.modules
+            from scipy.interpolate import CubicSpline
+            r = np.concatenate(([0.0], g.nodes, [g.r_max]))
+            w = np.concatenate(([0.0], f.w, [0.0]))
+            q = g.nodes / 2.0
+            expected = 2.0 ** (-1.0 / 3.0) * (CubicSpline(r, w.real)(q) + 1j * CubicSpline(r, w.imag)(q)) / q
+            assert v.values.tobytes() == expected.tobytes()
+        """)
+        src = os.path.dirname(os.path.dirname(radial.__file__))
+        done = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
 
 class TestHardy:
