@@ -1,16 +1,16 @@
-"""Binary checkpoints, CSV exports, and atomic manifest persistence.
+"""The append-only frame log, CSV exports, and atomic manifest persistence.
 
-Field checkpoint layout (little-endian):
-    magic "SNLS" | version u32 | n u64 | r_max f64 | n complex128 ('<c16', i.e. re f64, im f64)
+Frame log layout (little-endian): one header
+    magic "SNLS" | version u32 | n u64 | r_max f64
+followed by frame records, each
+    t f64 | n complex128 ('<c16', i.e. re f64, im f64)
+one record being the numpy dtype [('t', '<f8'), ('u', '<c16', (n,))].
 
-A trajectory file reuses the same header followed by frame records, each
-    t f64 | n complex128; one record is the numpy dtype [('t', '<f8'), ('u', '<c16', (n,))]
-
-Writers are crash-safe: whole-file writes go through a temp file plus
-rename; the frame log is append-only and the reader drops a truncated
-final record.  The reader maps the intact records read-only, so a loaded
-trajectory holds its frames once, in the page cache; a fresh log is
-therefore written to a new file, never over one that may still be mapped.
+The log is append-only and the reader drops a truncated final record;
+the manifest is written through a temp file plus rename.  The reader
+maps the intact records read-only, so a loaded trajectory holds its
+frames once, in the page cache; a fresh log is therefore written to a new
+file, never over one that may still be mapped.
 
 densities.csv holds one row per stored frame, written with repr(float), so
 read_density_csv returns each value with the bits it was written with.
@@ -26,11 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from .evolve import _DENSITY_KEYS
-from .radial import _FRAME_BLOCK, RadialField, RadialGrid
+from .radial import _FRAME_BLOCK, RadialGrid
 
 __all__ = [
-    "write_field",
-    "read_field",
     "TrajectoryFrameWriter",
     "read_trajectory_frames",
     "write_manifest",
@@ -57,37 +55,9 @@ def _atomic_write_bytes(path, payload: bytes) -> None:
     os.replace(tmp, path)
 
 
-def _header_bytes(grid: RadialGrid) -> bytes:
-    return _HEADER.pack(MAGIC, VERSION, grid.n, grid.r_max)
-
-
-def _parse_header(buf: bytes) -> RadialGrid:
-    if len(buf) < _HEADER.size:
-        raise ValueError(f"truncated header: {len(buf)} < {_HEADER.size} bytes")
-    magic, version, n, r_max = _HEADER.unpack_from(buf, 0)
-    if magic != MAGIC:
-        raise ValueError(f"bad magic {magic!r}; not a field checkpoint")
-    if version != VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    return RadialGrid(r_max=r_max, n=int(n))
-
-
 def _record_dtype(n: int) -> np.dtype:
     """One frame-log record: time, then the n complex samples."""
     return np.dtype([("t", "<f8"), ("u", "<c16", (n,))])
-
-
-def write_field(path, field: RadialField) -> None:
-    _atomic_write_bytes(path, _header_bytes(field.grid) + field.values.astype("<c16").tobytes())
-
-
-def read_field(path) -> RadialField:
-    buf = Path(path).read_bytes()
-    grid = _parse_header(buf)
-    expected = _HEADER.size + 16 * grid.n
-    if len(buf) < expected:
-        raise ValueError(f"truncated field checkpoint: {len(buf)} < {expected} bytes")
-    return RadialField(grid, np.frombuffer(buf, dtype="<c16", count=grid.n, offset=_HEADER.size))
 
 
 class TrajectoryFrameWriter:
@@ -103,7 +73,7 @@ class TrajectoryFrameWriter:
         self._f = open(path, mode)
         if mode == "wb":
             # made durable by the first append's fsync; a log cut short of its header counts as no log
-            self._f.write(_header_bytes(grid))
+            self._f.write(_HEADER.pack(MAGIC, VERSION, grid.n, grid.r_max))
             self._f.flush()
 
     def append(self, t: float, values: np.ndarray) -> None:
@@ -133,7 +103,15 @@ def has_frame_log(path) -> bool:
 
 def _read_header(path) -> RadialGrid:
     with open(path, "rb") as f:
-        return _parse_header(f.read(_HEADER.size))
+        buf = f.read(_HEADER.size)
+    if len(buf) < _HEADER.size:
+        raise ValueError(f"truncated header: {len(buf)} < {_HEADER.size} bytes")
+    magic, version, n, r_max = _HEADER.unpack(buf)
+    if magic != MAGIC:
+        raise ValueError(f"bad magic {magic!r}; not a frame log")
+    if version != VERSION:
+        raise ValueError(f"unsupported frame log version {version}")
+    return RadialGrid(r_max=r_max, n=int(n))
 
 
 def read_trajectory_frames(path):

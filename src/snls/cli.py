@@ -52,14 +52,14 @@ def _load_constants(args, cfg: RunConfig | None = None) -> iv.ProofConstants:
 def run_simulation(cfg: RunConfig, out_dir: Path, resume: bool = False) -> tuple[Trajectory, int]:
     """Run one cell, streaming crash-safe outputs into out_dir.
 
-    checkpoint.snls is written once, when the run ends (an abort or an
-    exception included), as the frame log's last record.
+    frames.snls is the run's only field record: every call, a resume
+    included, unlinks a checkpoint.snls left by an older version, so
+    that a stale file cannot pass for the log's last record.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = out_dir / "manifest.json"
     frames_path = out_dir / "frames.snls"
     csv_path = out_dir / "densities.csv"
-    checkpoint_path = out_dir / "checkpoint.snls"
     ctl = cfg.controller()
     grid = cfg.grid()
     t_a, t_b = cfg.t_span
@@ -94,33 +94,24 @@ def run_simulation(cfg: RunConfig, out_dir: Path, resume: bool = False) -> tuple
     }
     ckpt.write_manifest(manifest_path, manifest)
 
-    writer = ckpt.TrajectoryFrameWriter(frames_path, grid, append=append)
-    csv_f = open(csv_path, "a" if append else "w")
-    if not append:
-        csv_f.write(ckpt.density_csv_header() + "\n")
-        checkpoint_path.unlink(missing_ok=True)  # a stale checkpoint is not the fresh log's last record
-    last = u_start if append else None  # the log's last record, written to checkpoint.snls once the run ends
-
-    def on_frame(t, field, stats):
-        nonlocal last
-        if append and t <= t_start + 1e-12 * max(1.0, abs(t_start)):
-            return  # initial frame of a resumed segment is already on disk
-        writer.append(t, field.values)
-        csv_f.write(ckpt.density_csv_row(t, stats) + "\n")
-        csv_f.flush()
-        last = field
-
+    (out_dir / "checkpoint.snls").unlink(missing_ok=True)
     telemetry, status = None, "ok"  # as they stay when a resumed run was already complete
-    try:
+    with (ckpt.TrajectoryFrameWriter(frames_path, grid, append=append) as writer,
+          open(csv_path, "a" if append else "w") as csv_f):
+        if not append:
+            csv_f.write(ckpt.density_csv_header() + "\n")
+
+        def on_frame(t, field, stats):
+            if append and t <= t_start + 1e-12 * max(1.0, abs(t_start)):
+                return  # initial frame of a resumed segment is already on disk
+            writer.append(t, field.values)
+            csv_f.write(ckpt.density_csv_row(t, stats) + "\n")
+            csv_f.flush()
+
         if t_start < t_b - 1e-12 * max(1.0, abs(t_b)):
             traj = evolve(u_start, (t_start, t_b), ctl, provenance={"config": cfg.to_dict()},
                           on_frame=on_frame, snap_anchor=t_a)
             telemetry, status = traj.provenance["telemetry"], traj.status
-    finally:
-        writer.close()
-        csv_f.close()
-        if last is not None:
-            ckpt.write_field(checkpoint_path, last)
     if append:  # a resumed run's trajectory is its whole frame log, with the prefix's rows and evolve's in the CSV
         traj = rebuild_trajectory(*ckpt.read_trajectory_frames(frames_path), ctl, provenance={"config": cfg.to_dict()},
                                   status=status, stored=_stored_densities(csv_path))
@@ -183,6 +174,7 @@ def diagnose_trajectory(traj: Trajectory, constants: iv.ProofConstants,
     else:
         E = float(traj.densities["H_sc"].max())
     eta = constants.eta(E)
+    _require(eta > 0, "constants", f"eta = (1/C2)(1+E)^-C2 underflows to {eta} at C2={constants.C2}, E={E}")
     decomp = iv.partition_trajectory(traj, eta)
     decomp = iv.classify(decomp, traj, constants)
 
@@ -269,8 +261,8 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    _require(0 <= args.E < np.inf and args.M > 0 and 0 < args.delta < 1, "bounds",
-             f"need 0 <= E < inf, M > 0 and 0 < delta < 1, got E={args.E}, M={args.M}, delta={args.delta}")
+    _require(0 <= args.E < np.inf and 0 < args.M < np.inf and 0 < args.delta < 1, "bounds",
+             f"need 0 <= E < inf, 0 < M < inf and 0 < delta < 1, got E={args.E}, M={args.M}, delta={args.delta}")
     constants = _load_constants(args)
     run_dir = Path(args.monitor) if args.monitor else None
     traj = load_run(run_dir)[1] if run_dir else None  # a bad run directory ends the command before any output

@@ -146,6 +146,9 @@ class IntervalDecomposition:
             raise ValueError("decomposition must contain at least one interval")
         if iv.shape != (J, 2) or masses.shape != (J,) or flags.shape != (J,):
             raise ValueError("intervals must be (t0, t1) pairs, with one mass and one flag per interval")
+        nonfinite = iv[~np.isfinite(iv)]
+        if nonfinite.size:
+            raise ValueError(f"every endpoint must be finite, got {nonfinite[0]}")
         degenerate = np.flatnonzero(~(iv[:, 0] < iv[:, 1]))
         if degenerate.size:
             raise ValueError(f"degenerate interval {iv[degenerate[0]].tolist()}")
@@ -199,12 +202,13 @@ class IntervalDecomposition:
 
     @staticmethod
     def from_json(obj: dict) -> "IntervalDecomposition":
-        """The decomposition of to_json's layout; a JSON true or false among the numbers is a ValueError."""
+        """The decomposition of to_json's layout; a string, true or false among the numbers is a ValueError."""
         rows = obj["intervals"]
         columns = {"eta": [obj["eta"]], **{key: [row[key] for row in rows] for key in ("t0", "t1", "mass")}}
         for key, values in columns.items():
-            if bool in map(type, values):
-                raise ValueError(f"{key} must be a number, got a boolean")
+            bad = [v for v in dict(zip(map(type, values), values)).values() if not _is_real(v)]  # one check per type
+            if bad:
+                raise ValueError(f"{key} must be a number, got {bad[0]!r}")
         return IntervalDecomposition(
             intervals=list(zip(columns["t0"], columns["t1"])),
             masses=columns["mass"],

@@ -21,10 +21,8 @@ from snls.checkpoints import (
     TrajectoryFrameWriter,
     density_csv_text,
     read_density_csv,
-    read_field,
     read_trajectory_frames,
     truncate_trajectory_frames,
-    write_field,
 )
 from snls import intervals, radial
 from snls.cli import EXIT_BLOWUP, EXIT_CONFIG, EXIT_OK, diagnose_trajectory, load_run, main, run_simulation
@@ -140,23 +138,27 @@ class TestConfig:
 
 
 class TestFieldCheckpoints:
+    """The frame log is the one binary field format: a one-record log holds one field."""
+
     def test_binary_round_trip(self, tmp_path, grid_small):
         f = gaussian_field(grid_small, amplitude=1.3, chirp=0.2)
         p = tmp_path / "f.snls"
-        write_field(p, f)
-        g = read_field(p)
-        assert g.grid == f.grid
-        assert np.array_equal(g.values, f.values)
-        raw = p.read_bytes()
-        assert raw[:4] == b"SNLS"
+        with TrajectoryFrameWriter(p, f.grid) as writer:
+            writer.append(0.5, f.values)
+        assert p.read_bytes()[:4] == b"SNLS"
+        grid, times, frames = read_trajectory_frames(p)
+        assert grid == f.grid
+        assert times.tobytes() == np.array([0.5]).tobytes()
+        assert frames.shape == (1, grid.n) and frames[0].tobytes() == f.values.tobytes()
 
     def test_truncated_file_rejected(self, tmp_path, grid_small):
         f = gaussian_field(grid_small)
         p = tmp_path / "f.snls"
-        write_field(p, f)
-        p.write_bytes(p.read_bytes()[:-8])
+        with TrajectoryFrameWriter(p, f.grid) as writer:
+            writer.append(0.0, f.values)
+        p.write_bytes(p.read_bytes()[:TestFrameLog.HEADER - 8])
         with pytest.raises(ValueError, match="truncated"):
-            read_field(p)
+            read_trajectory_frames(p)
 
 
 class TestFrameLog:
@@ -172,9 +174,7 @@ class TestFrameLog:
             pairs = np.column_stack([u.real, u.imag]).astype("<f8")
             expected += struct.pack("<d", t) + pairs.tobytes()
         assert raw == expected
-        ckpt = (tmp_path / "run" / "checkpoint.snls").read_bytes()
-        assert ckpt == expected[:self.HEADER] + np.column_stack(
-            [traj.frames[-1].real, traj.frames[-1].imag]).astype("<f8").tobytes()
+        assert not (tmp_path / "run" / "checkpoint.snls").exists()
 
     def test_cut_last_record_reads_intact_prefix(self, tmp_path):
         cfg = RunConfig.from_dict(FAST)
@@ -254,8 +254,9 @@ class TestSimulate:
         cfg = RunConfig.from_dict(FAST)
         traj, code = run_simulation(cfg, tmp_path / "run")
         assert code == EXIT_OK
-        for name in ("manifest.json", "frames.snls", "densities.csv", "checkpoint.snls"):
+        for name in ("manifest.json", "frames.snls", "densities.csv"):
             assert (tmp_path / "run" / name).exists()
+        assert not (tmp_path / "run" / "checkpoint.snls").exists()
         grid, times, frames = read_trajectory_frames(tmp_path / "run" / "frames.snls")
         assert times.size == traj.times.size
         assert np.array_equal(frames[-1], traj.frames[-1])
@@ -326,21 +327,21 @@ class TestSimulate:
 
 
 class TestCheckpointWrittenOnce:
-    """checkpoint.snls is written once, when run_simulation ends, as the last record of frames.snls."""
+    """No run leaves a checkpoint.snls, not even a stale one placed there first; frames.snls holds whole records."""
 
     HEADER = TestFrameLog.HEADER
 
+    @staticmethod
+    def _place_stale_checkpoint(run_dir):
+        run_dir.mkdir(parents=True, exist_ok=True)
+        (run_dir / "checkpoint.snls").write_bytes(b"stale")
+
     @classmethod
-    def _assert_checkpoint_is_last_record(cls, run_dir):
-        grid, _, frames = read_trajectory_frames(run_dir / "frames.snls")
-        raw = (run_dir / "frames.snls").read_bytes()
-        rec = 8 + 16 * grid.n
-        k = (len(raw) - cls.HEADER) // rec
-        assert k >= 1
-        last = raw[cls.HEADER + (k - 1) * rec + 8:cls.HEADER + k * rec]
-        assert (run_dir / "checkpoint.snls").read_bytes() == raw[:cls.HEADER] + last
-        field = read_field(run_dir / "checkpoint.snls")
-        assert field.grid == grid and np.array_equal(field.values, frames[-1])
+    def _assert_no_checkpoint(cls, run_dir):
+        assert not (run_dir / "checkpoint.snls").exists()
+        grid, times, _ = read_trajectory_frames(run_dir / "frames.snls")
+        size = (run_dir / "frames.snls").stat().st_size
+        assert times.size >= 1 and size == cls.HEADER + times.size * (8 + 16 * grid.n)
 
     @staticmethod
     def _evolve_raising_after(monkeypatch, k):
@@ -362,49 +363,36 @@ class TestCheckpointWrittenOnce:
 
         monkeypatch.setattr(cli, "evolve", patched)
 
-    def test_written_once_per_run(self, tmp_path, monkeypatch):
-        checkpoints = importlib.import_module("snls.checkpoints")
-        real, calls = checkpoints.write_field, []
-
-        def counted(path, field):
-            calls.append(path)
-            return real(path, field)
-
-        monkeypatch.setattr(checkpoints, "write_field", counted)
-        cfg = RunConfig.from_dict(FAST)
-        traj, code = run_simulation(cfg, tmp_path / "run")
-        assert code == EXIT_OK and traj.times.size == 11
-        assert calls == [tmp_path / "run" / "checkpoint.snls"]
-        truncate_trajectory_frames(tmp_path / "run" / "frames.snls", 4)
-        run_simulation(cfg, tmp_path / "run", resume=True)
-        assert len(calls) == 2
-
     def test_clean_run(self, tmp_path):
+        self._place_stale_checkpoint(tmp_path / "run")
         assert run_simulation(RunConfig.from_dict(FAST), tmp_path / "run")[1] == EXIT_OK
-        self._assert_checkpoint_is_last_record(tmp_path / "run")
+        self._assert_no_checkpoint(tmp_path / "run")
 
     def test_blowup_abort(self, tmp_path):
         # the chirped gaussian focuses: sup|u| passes the ceiling after five stored frames
+        self._place_stale_checkpoint(tmp_path / "run")
         cfg = RunConfig.from_dict({**FAST, "chirp": -1.0, "blowup_ceiling": 1.57})
         traj, code = run_simulation(cfg, tmp_path / "run")
         assert code == EXIT_BLOWUP and traj.status == "blowup_abort" and traj.times.size == 5
-        self._assert_checkpoint_is_last_record(tmp_path / "run")
+        self._assert_no_checkpoint(tmp_path / "run")
 
     def test_exception_after_third_frame(self, tmp_path, monkeypatch):
+        self._place_stale_checkpoint(tmp_path / "run")
         self._evolve_raising_after(monkeypatch, 3)
         with pytest.raises(RuntimeError, match="after 3 frames"):
             run_simulation(RunConfig.from_dict(FAST), tmp_path / "run")
         assert read_trajectory_frames(tmp_path / "run" / "frames.snls")[1].size == 3
-        self._assert_checkpoint_is_last_record(tmp_path / "run")
+        self._assert_no_checkpoint(tmp_path / "run")
 
     def test_exception_after_third_frame_on_the_frame_thread(self, tmp_path, monkeypatch, two_cpus):
         # at n = 2048 on two CPUs on_frame runs on the frame thread; its exception still leaves exactly three records
         assert radial._path((2, 2048)) == "workers"
+        self._place_stale_checkpoint(tmp_path / "run")
         self._evolve_raising_after(monkeypatch, 3)
         with pytest.raises(RuntimeError, match="after 3 frames"):
             run_simulation(RunConfig.from_dict({**FAST, "n": 2048}), tmp_path / "run")
         assert read_trajectory_frames(tmp_path / "run" / "frames.snls")[1].size == 3
-        self._assert_checkpoint_is_last_record(tmp_path / "run")
+        self._assert_no_checkpoint(tmp_path / "run")
 
     def test_same_files_on_one_and_two_cpus(self, tmp_path, monkeypatch):
         # n = 2048: the frame thread writes the frame log and the CSV on two CPUs, the stepper itself on one
@@ -412,7 +400,7 @@ class TestCheckpointWrittenOnce:
         for cpus in ({0, 1}, {0}):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
             assert run_simulation(cfg, tmp_path / str(len(cpus)))[1] == EXIT_OK
-        for name in ("frames.snls", "densities.csv", "checkpoint.snls"):
+        for name in ("frames.snls", "densities.csv"):
             assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "1" / name).read_bytes(), name
 
     def test_resume_of_log_cut_mid_record(self, tmp_path):
@@ -422,9 +410,10 @@ class TestCheckpointWrittenOnce:
         log = tmp_path / "cut" / "frames.snls"
         rec = 8 + 16 * cfg.n
         log.write_bytes(log.read_bytes()[:self.HEADER + 4 * rec + rec // 2])
+        self._place_stale_checkpoint(tmp_path / "cut")
         assert run_simulation(cfg, tmp_path / "cut", resume=True)[1] == EXIT_OK
-        self._assert_checkpoint_is_last_record(tmp_path / "cut")
-        for name in ("frames.snls", "checkpoint.snls"):
+        self._assert_no_checkpoint(tmp_path / "cut")
+        for name in ("frames.snls", "densities.csv"):
             assert (tmp_path / "cut" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
 
     def test_resume_of_log_cut_inside_its_header_starts_fresh(self, tmp_path):
@@ -434,22 +423,23 @@ class TestCheckpointWrittenOnce:
         log = tmp_path / "cut" / "frames.snls"
         log.write_bytes(log.read_bytes()[:10])
         assert run_simulation(cfg, tmp_path / "cut", resume=True)[1] == EXIT_OK
-        for name in ("frames.snls", "densities.csv", "checkpoint.snls"):
+        for name in ("frames.snls", "densities.csv"):
             assert (tmp_path / "cut" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
 
-    def test_resume_of_finished_run_restores_deleted_checkpoint(self, tmp_path):
+    def test_resume_of_finished_run_unlinks_stale_checkpoint(self, tmp_path):
         cfg = RunConfig.from_dict(FAST)
         run_simulation(cfg, tmp_path / "run")
-        saved = (tmp_path / "run" / "checkpoint.snls").read_bytes()
-        (tmp_path / "run" / "checkpoint.snls").unlink()
+        saved = {name: (tmp_path / "run" / name).read_bytes() for name in ("frames.snls", "densities.csv")}
+        self._place_stale_checkpoint(tmp_path / "run")
         traj, code = run_simulation(cfg, tmp_path / "run", resume=True)
         assert code == EXIT_OK and traj.times.size == 11
-        self._assert_checkpoint_is_last_record(tmp_path / "run")
-        assert (tmp_path / "run" / "checkpoint.snls").read_bytes() == saved
+        self._assert_no_checkpoint(tmp_path / "run")
+        for name, raw in saved.items():
+            assert (tmp_path / "run" / name).read_bytes() == raw, name
 
     def test_fresh_run_unlinks_stale_checkpoint(self, tmp_path, monkeypatch):
         run_simulation(RunConfig.from_dict({**FAST, "n": 64, "amplitude": 2.0}), tmp_path / "run")
-        assert (tmp_path / "run" / "checkpoint.snls").exists()
+        self._place_stale_checkpoint(tmp_path / "run")
         self._evolve_raising_after(monkeypatch, 0)
         with pytest.raises(RuntimeError, match="before any frame"):
             run_simulation(RunConfig.from_dict(FAST), tmp_path / "run")
@@ -692,6 +682,10 @@ BAD_INPUTS = {
     "select_unknown_flag": lambda tmp: ["select", _instance(tmp, flag="good")],
     "select_negative_eta": lambda tmp: ["select", _instance(tmp, eta=-0.5)],
     "select_nan_mass": lambda tmp: ["select", _instance(tmp, mass=math.nan)],
+    "select_infinite_endpoint": lambda tmp: ["select", _input_file(tmp, "instance.json", {
+        "eta": 0.5, "intervals": [{"t0": 1.0, "t1": math.inf, "mass": 0.5, "flag": UNEXCEPTIONAL}]})],
+    "select_string_number": lambda tmp: ["select", _input_file(tmp, "instance.json", {
+        "eta": "0.5", "intervals": [{"t0": "0.0", "t1": "1.0", "mass": "0.5", "flag": UNEXCEPTIONAL}]})],
     "select_all_exceptional": lambda tmp: ["select", _input_file(tmp, "instance.json", {
         "eta": 0.5, "intervals": [{"t0": 0.0, "t1": 1.0, "mass": 0.5, "flag": EXCEPTIONAL}]})],
     "diagnose_missing_constants": lambda tmp: [
@@ -699,6 +693,7 @@ BAD_INPUTS = {
     "bounds_C_below_one": lambda tmp: ["bounds", "--E", "1.0", "--constants", _input_file(tmp, "c.json", {"C": 0.5})],
     "bounds_negative_E": lambda tmp: ["bounds", "--E", "-1"],
     "bounds_infinite_E": lambda tmp: ["bounds", "--E", "inf"],
+    "bounds_infinite_M": lambda tmp: ["bounds", "--E", "1", "--M", "inf"],
     "bounds_missing_monitor_dir": lambda tmp: ["bounds", "--E", "1.0", "--monitor", str(tmp / "absent")],
     "diagnose_frame_log_nan_sample": lambda tmp: _corrupt_frame_log(tmp, "u", 3, math.nan),
     # 40 frames are two full checking blocks and a partial one
@@ -708,6 +703,9 @@ BAD_INPUTS = {
     # eta = (1/C2)(1+E)^-C2 cuts the run's int s dt into ~5e46 intervals, more cuts than physical memory holds
     "diagnose_partition_too_large": lambda tmp: [
         "diagnose", str(_simulated_run(tmp)), "--constants", _input_file(tmp, "c.json", {"C2": 60})],
+    # eta = (1/C2)(1+E)^-C2 underflows to 0.0
+    "diagnose_eta_underflow": lambda tmp: [
+        "diagnose", str(_simulated_run(tmp)), "--constants", _input_file(tmp, "c.json", {"C2": 1e4})],
     # the monitor's cut quantum (1/(4 C_tilde))^(5/2) makes ~7e21 intervals; bounds.json is not written either
     "bounds_monitor_partition_too_large": lambda tmp: [
         "bounds", "--E", "1.0", "--delta", "1e-8", "--constants", _input_file(tmp, "c.json", {"C_tilde": 1e8}),
