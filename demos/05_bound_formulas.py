@@ -11,7 +11,6 @@ import math
 import numpy as np
 
 import snls
-from snls.bounds import scattering_shape_exponents
 from snls.intervals import ProofConstants
 
 const = ProofConstants()
@@ -26,8 +25,11 @@ for E in (0.0, 1.0, 2.0, 5.0):
     sv = snls.scattering_bound(E, const.C)
     tag = " (saturated)" if sv.overflow else ""
     print(f"  E = {E:4.1f}: log bound = {sv.log_value:12.3f}, bound = {sv.value:.4g}{tag}")
-fitted, expected = scattering_shape_exponents(const, np.linspace(3, 40, 50))
-print(f"  partition-count shape: fitted growth exponent {fitted:.3f} vs C*C2 = {expected:.3f}")
+# substituting eta(E) makes log(2 J eta), J = exp(C eta^-C), grow like (1+E)^(C C2): the shape of exp(C E^C)
+E_grid = np.linspace(3, 40, 50)
+eta = const.eta(E_grid)
+fitted = np.polyfit(np.log(1.0 + E_grid), np.log(np.log(2.0) + const.dist_cap(eta) + np.log(eta)), 1)[0]
+print(f"  partition-count shape: fitted growth exponent {fitted:.3f} vs C*C2 = {const.C * const.C2:.3f}")
 
 print("\n== absorption rules ==")
 for rec in snls.absorb_check(E=3.0, C2=2.0, p=0.5, eps_target=0.01):

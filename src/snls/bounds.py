@@ -117,19 +117,6 @@ def scattering_bound(E: float, C: float) -> SaturatingValue:
     return _saturating(log_v)
 
 
-def scattering_shape_exponents(constants: ProofConstants, E_grid) -> tuple[float, float]:
-    """Fitted log-log growth exponent of log(2 J eta), J = exp(C eta^-C), vs C*C2.
-
-    Substituting eta(E) makes log(2 J eta) ~ C C2^C (1+E)^(C C2): the same
-    double-exponential shape as exp(C E^C) with exponent C*C2.
-    """
-    E = np.asarray(E_grid, dtype=float)
-    eta = constants.eta(E)
-    log_2jeta = np.log(2.0) + constants.dist_cap(eta) + np.log(eta)
-    slope = np.polyfit(np.log(1.0 + E), np.log(log_2jeta), 1)[0]
-    return float(slope), float(constants.C * constants.C2)
-
-
 def _interp_ceiling_log(delta: float, E0: float, log_2R0: float) -> float:
     """log of the interpolation ceiling E0^(1-delta) (2 R0)^delta on sup ||u||_{H^sc}."""
     return (1.0 - delta) * math.log(E0) + delta * log_2R0

@@ -6,8 +6,11 @@ followed by frame records, each
     t f64 | n complex128 ('<c16', i.e. re f64, im f64)
 one record being the numpy dtype [('t', '<f8'), ('u', '<c16', (n,))].
 
-The log is append-only and the reader drops a truncated final record;
-the manifest is written through a temp file plus rename.  The reader
+The log is append-only and the reader drops a truncated final record.
+Each record is flushed as it is appended and the log is fsync'd once per
+_FRAME_BLOCK records and on close: a killed process loses no record, a
+power loss at most one block, and a resume recomputes what was lost.
+The manifest is written through a temp file plus rename.  The reader
 maps the intact records read-only, so a loaded trajectory holds its
 frames once, in the page cache; a fresh log is therefore written to a new
 file, never over one that may still be mapped.
@@ -61,18 +64,25 @@ def _record_dtype(n: int) -> np.dtype:
 
 
 class TrajectoryFrameWriter:
-    """Append-only frame log; one header, then (t, samples) records."""
+    """Append-only frame log; one header, then (t, samples) records.
+
+    Every append writes and flushes its record, so a killed process loses
+    none; every _FRAME_BLOCK-th append and close() fsync the file (group
+    commit), so a power loss loses at most the last _FRAME_BLOCK records,
+    which a resume recomputes.
+    """
 
     def __init__(self, path, grid: RadialGrid, append: bool = False):
         self.grid = grid
         self._record = np.zeros((), dtype=_record_dtype(grid.n))
+        self._appended = 0
         mode = "ab" if append and Path(path).exists() else "wb"
         if mode == "wb":
             # a new inode: truncating the old one in place would pull the pages from under a live mapping (SIGBUS)
             Path(path).unlink(missing_ok=True)
         self._f = open(path, mode)
         if mode == "wb":
-            # made durable by the first append's fsync; a log cut short of its header counts as no log
+            # made durable by the first fsync; a log cut short of its header counts as no log
             self._f.write(_HEADER.pack(MAGIC, VERSION, grid.n, grid.r_max))
             self._f.flush()
 
@@ -80,14 +90,16 @@ class TrajectoryFrameWriter:
         self._record["t"] = t
         self._record["u"] = values
         self._f.write(self._record)  # its buffer: the record's bytes, not a copy
-        self._flush()
-
-    def _flush(self):
         self._f.flush()
-        os.fsync(self._f.fileno())
+        self._appended += 1
+        if self._appended % _FRAME_BLOCK == 0:
+            os.fsync(self._f.fileno())
 
     def close(self):
-        self._f.close()
+        try:
+            os.fsync(self._f.fileno())
+        finally:
+            self._f.close()
 
     def __enter__(self):
         return self

@@ -52,6 +52,11 @@ def _load_constants(args, cfg: RunConfig | None = None) -> iv.ProofConstants:
 def run_simulation(cfg: RunConfig, out_dir: Path, resume: bool = False) -> tuple[Trajectory, int]:
     """Run one cell, streaming crash-safe outputs into out_dir.
 
+    evolve hands stored frames to on_frame in blocks of radial._FRAME_BLOCK,
+    and on_frame appends each frame's log record and CSV row, flushed, so a
+    killed process loses no frame that reached on_frame; the frame log is
+    fsync'd once per block and on close, so a power loss loses at most the
+    last block, which a resume recomputes.
     frames.snls is the run's only field record: every call, a resume
     included, unlinks a checkpoint.snls left by an older version, so
     that a stale file cannot pass for the log's last record.

@@ -5,7 +5,6 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import asdict, dataclass, field as dc_field, fields
-from pathlib import Path
 
 import numpy as np
 
@@ -144,6 +143,3 @@ class RunConfig:
     @staticmethod
     def load(path) -> "RunConfig":
         return read_json(path, RunConfig.from_dict)
-
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")

@@ -7,6 +7,7 @@ bounds the nonlinear phase increment |u|^6 dt per step.
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import functools
 import math
@@ -286,13 +287,20 @@ def evolve(
     continues.  on_frame(t, field, stats), when given, fires at every
     stored frame including the initial one, in frame order and one frame
     at a time, under the caller's context (its np.errstate included).
-    Where blocks of rows take two threads (radial._path), each frame's
-    statistics and on_frame run on the frame thread while the stepper
-    runs on: the stepper waits for frame k-1 before it hands over frame
-    k, so at most one frame is in flight.  An exception of on_frame then
-    surfaces at the next frame or when evolve ends, unless the stepper has
-    raised first; evolve returns or raises only once no frame is in
-    flight.
+    Stored frames are finished (their statistics, then on_frame) in
+    blocks of radial._FRAME_BLOCK: a block is handed over once it is full,
+    and the last, partial one when the run ends, an abort or the
+    stepper's own exception included.  Inline, a block's statistics are
+    one _frame_stats call, and an exception of on_frame surfaces when its
+    block is finished.  Where blocks of rows take two threads
+    (radial._path), each block's statistics (row by row) and on_frame run
+    on the frame thread while the stepper runs on: the stepper waits for
+    block b-1 before it hands over block b, so at most one block is in
+    flight.  An exception of on_frame then surfaces at the next hand-over
+    or when evolve ends, and no later frame reaches on_frame.  When the
+    stepper raises, its stored frames are still finished unless frame
+    work has failed, and its exception wins; evolve returns or raises only
+    once no block is in flight.
 
     Steps are `_step`'s, fused on raw arrays: the closing half-phase
     of one step and the opening half-phase of the next are applied as one
@@ -315,21 +323,27 @@ def evolve(
     times, stats = [], []
     frames = np.empty((snap_times.size + 1, g.n), dtype=np.complex128)  # every frame a run can store
     pool = _pool("frames") if _path((2, g.n)) == "workers" else None  # the frame thread, where blocks take two
+    # rows per statistics call: a whole block inline; one on the frame thread, whose malloc arena would keep a block's
+    # temporaries (about 15 MiB at n = 16384)
+    rows = _FRAME_BLOCK if pool is None else 1
     context = contextvars.copy_context()  # the frame work runs under the caller's np.errstate
-    inflight = None  # the future of the frame whose work the frame thread holds
+    inflight = None  # the future of the block whose work the frame thread holds
+    handed = 0  # frames[:handed] are handed over to their finishing work, the rest are pending
     frame_s = frame_wait_s = 0.0
 
-    def finish(t: float, field: RadialField) -> None:
+    def finish(lo: int, hi: int) -> None:
         nonlocal frame_s
         start = time.perf_counter()
-        st = _frame_stats(field.values[None], g, ctl)
+        block = frames[lo:hi]
+        st = np.concatenate([_frame_stats(block[j:j + rows], g, ctl) for j in range(0, hi - lo, rows)], axis=-1)
         stats.append(st)
         if on_frame is not None:
-            on_frame(t, field, {k: x[0] for k, x in zip(_DENSITY_KEYS, st)})
+            for j in range(hi - lo):
+                on_frame(times[lo + j], RadialField(g, block[j]), dict(zip(_DENSITY_KEYS, st[:, j])))
         frame_s += time.perf_counter() - start
 
     def settle() -> None:
-        """Wait for the frame in flight, and raise its exception here."""
+        """Wait for the block in flight, and raise its exception here."""
         nonlocal inflight, frame_wait_s
         if inflight is not None:
             start = time.perf_counter()
@@ -339,22 +353,30 @@ def evolve(
             finally:
                 frame_wait_s += time.perf_counter() - start
 
-    def store(t: float, field: RadialField) -> None:
-        nonlocal inflight
-        settle()
-        frames[len(times)] = field.values
-        times.append(t)
+    def hand_over() -> None:
+        """Hand the pending frames over: finished inline, or on the frame thread once the block before is done."""
+        nonlocal handed, inflight
+        lo, handed = handed, len(times)  # counted as handed over first, so that frames after a failed block never are
+        if lo == handed:
+            return
         if pool is None:
-            finish(t, field)
+            finish(lo, handed)
         else:
-            inflight = pool.submit(context.run, finish, t, field)
+            settle()
+            inflight = pool.submit(context.run, finish, lo, handed)
+
+    def store(t: float, u: np.ndarray) -> None:
+        frames[len(times)] = u
+        times.append(t)
+        if len(times) - handed == _FRAME_BLOCK:
+            hand_over()
 
     status = "ok"
     steps = halvings = 0
     dt_lo, dt_hi = math.inf, 0.0
     u, t = u0.values, t_a
     try:
-        store(t_a, u0)
+        store(t_a, u)
         for t_next in snap_times.tolist():
             # v is the field before its pending closing half-phase of length `pending`
             v, q, pending = u, _modulus2(u), 0.0
@@ -388,13 +410,16 @@ def evolve(
             if status != "ok":
                 break
             t = t_next
-            field = RadialField(g, _rotate(v, q, pending) if pending else v)
-            u = field.values
-            store(t, field)
+            u = _rotate(v, q, pending) if pending else v
+            store(t, u)
     except BaseException:
-        if inflight is not None:  # wait for the frame in flight; the stepper's exception wins over its own
-            inflight.exception()
+        # the stepper's exception wins; the frames it stored are still finished, unless frame work has failed
+        if inflight is None or inflight.exception() is None:
+            with contextlib.suppress(Exception):
+                hand_over()
+                settle()
         raise
+    hand_over()
     settle()
 
     prov = dict(provenance or {})

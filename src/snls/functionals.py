@@ -145,18 +145,6 @@ class NormReport:
     mass: float
     energy: float
 
-    def to_json_row(self) -> dict:
-        return {
-            "t_a": self.interval[0],
-            "t_b": self.interval[1],
-            "S": self.S,
-            "W": self.W,
-            "N": self.N,
-            "sup_Hsc": self.sup_Hsc,
-            "mass": self.mass,
-            "energy": self.energy,
-        }
-
 
 def _lqt(values: np.ndarray, times: np.ndarray, q: float) -> float:
     """(int ||.||^q dt)^(1/q) by trapezoid over the frame times."""

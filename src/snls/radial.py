@@ -128,10 +128,6 @@ class RadialField:
         """w_i = r_i * u(r_i)."""
         return self.grid.nodes * self.values
 
-    def sup_abs(self) -> float:
-        """Grid max of |u| (a lower bound of the true sup)."""
-        return float(np.abs(self.values).max())
-
     @staticmethod
     def zero(grid: RadialGrid) -> "RadialField":
         return RadialField(grid, np.zeros(grid.n, dtype=np.complex128))
@@ -147,11 +143,6 @@ class SpectralField:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _as_samples(self.grid, self.coeffs))
         self.coeffs.flags.writeable = False
-
-    def sine_integrals(self) -> np.ndarray:
-        """Physical values int_0^rmax w sin(rho_k r) dr recovered from coeffs."""
-        g = self.grid
-        return g.dr * np.sqrt((g.n + 1) / 2.0) * self.coeffs
 
 
 _FRAME_BLOCK = 16  # rows per raw block in every loop over stored frames

@@ -16,7 +16,6 @@ from snls.bounds import (
     m0_solve,
     relaxed_regularity_plan,
     scattering_bound,
-    scattering_shape_exponents,
     slow_growth_g,
     theorem1_plan,
 )
@@ -140,8 +139,12 @@ class TestScatteringBound:
         assert math.isfinite(sv.log_value) and sv.log_value > 0
 
     def test_shape_consistency_with_partition_count(self):
-        fitted, expected = scattering_shape_exponents(ProofConstants(C2=2.0), np.linspace(3, 40, 60))
-        assert abs(fitted - expected) < 0.15 * expected
+        # substituting eta(E) makes log(2 J eta), J = exp(C eta^-C), grow like C C2^C (1+E)^(C C2): the double-
+        # exponential shape of exp(C E^C), with exponent C*C2
+        const, E = ProofConstants(C2=2.0), np.linspace(3, 40, 60)
+        eta = const.eta(E)
+        fitted = np.polyfit(np.log(1.0 + E), np.log(np.log(2.0) + const.dist_cap(eta) + np.log(eta)), 1)[0]
+        assert abs(fitted - const.C * const.C2) < 0.15 * const.C * const.C2
 
 
 class TestSlowGrowth:

@@ -20,6 +20,7 @@ from hypothesis.extra import numpy as hnp
 from snls.checkpoints import (
     TrajectoryFrameWriter,
     density_csv_text,
+    has_frame_log,
     read_density_csv,
     read_trajectory_frames,
     truncate_trajectory_frames,
@@ -133,7 +134,7 @@ class TestConfig:
     def test_round_trip(self, tmp_path):
         cfg = RunConfig(**{**FAST, "t_span": tuple(FAST["t_span"])})
         path = tmp_path / "c.json"
-        cfg.save(path)
+        path.write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")
         assert RunConfig.load(path) == cfg
 
 
@@ -202,9 +203,10 @@ class TestFrameLog:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_append_then_cut_round_trip(self, tmp_path_factory, data):
-        # k appended frames, the file cut at any byte past the header: the intact prefix reads back bit for bit
+        # k appended frames, up to two and a half fsync blocks, the file cut at any byte: past the header the intact
+        # prefix reads back bit for bit, and a shorter file is no log
         n = data.draw(st.sampled_from([8, 15, 16]))
-        k = data.draw(st.integers(0, 6))
+        k = data.draw(st.integers(0, 40))
         finite = st.floats(allow_nan=False, allow_infinity=False)
         times = np.array(sorted(data.draw(st.lists(finite, min_size=k, max_size=k, unique=True))), dtype=float)
         frames = data.draw(hnp.arrays(np.float64, (k, n, 2), elements=finite)).view(np.complex128)[..., 0]
@@ -215,14 +217,53 @@ class TestFrameLog:
         raw = path.read_bytes()
         rec = 8 + 16 * n
         assert len(raw) == self.HEADER + k * rec
-        size = data.draw(st.integers(self.HEADER, len(raw)))
+        size = data.draw(st.integers(0, len(raw)))
         cut = path.with_name("cut.snls")
         cut.write_bytes(raw[:size])
+        assert has_frame_log(cut) == (size >= self.HEADER)
+        if size < self.HEADER:
+            with pytest.raises(ValueError, match="truncated"):
+                read_trajectory_frames(cut)
+            return
         grid, t2, f2 = read_trajectory_frames(cut)
         m = (size - self.HEADER) // rec
         assert grid == RadialGrid(20.0, n)
         assert t2.tobytes() == times[:m].tobytes()
         assert f2.shape == (m, n) and f2.tobytes() == frames[:m].tobytes()
+
+    @staticmethod
+    def _count_fsyncs(monkeypatch):
+        """Patch os.fsync to record the inode of every file it syncs."""
+        calls = []
+        fsync = os.fsync
+
+        def counted(fd):
+            calls.append(os.fstat(fd).st_ino)
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counted)  # the function snls.checkpoints calls as os.fsync
+        return calls
+
+    def test_fsync_once_per_block(self, tmp_path, monkeypatch):
+        # every append is flushed, so another reader sees it at once; every 16th append and close() fsync
+        grid, path = RadialGrid(20.0, 8), tmp_path / "frames.snls"
+        calls = self._count_fsyncs(monkeypatch)
+        values = np.arange(8) * (1.0 + 0.5j)
+        with TrajectoryFrameWriter(path, grid) as writer:
+            for k in range(35):
+                writer.append(float(k), values + k)
+                _, times, frames = read_trajectory_frames(path)
+                assert times.tolist() == list(range(k + 1)) and frames[k].tobytes() == (values + k).tobytes()
+            assert len(calls) == 2
+        assert len(calls) == 3
+
+    def test_sweep_cell_fsyncs_its_log_four_times(self, tmp_path, monkeypatch):
+        # a sweep-size cell stores 51 frames: fsyncs at appends 16, 32 and 48, and one on close
+        cfg = RunConfig.from_dict({**FAST, "n": 256, "dt_max": 0.0025, "t_span": [0.0, 0.5]})
+        calls = self._count_fsyncs(monkeypatch)
+        traj, code = run_simulation(cfg, tmp_path / "run")
+        assert code == EXIT_OK and traj.times.size == 51
+        assert calls.count((tmp_path / "run" / "frames.snls").stat().st_ino) == 4
 
     def test_header_only_log_has_no_frames(self, tmp_path, capsys):
         run_dir = _simulated_run(tmp_path)

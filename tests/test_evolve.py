@@ -262,7 +262,7 @@ def strang_reference(u0: RadialField, t_span, ctl: StepController, halve_step=No
     u, t, frames, k = u0, t_a, [u0.values], 0
     for t_next in _snapshot_times(t_a, t_b, ctl.snapshot_stride):
         while t_next - t > 1e-12 * max(1.0, abs(t_next)):
-            dt = min(ctl.dt_max, ctl.theta / max(1e-12, u.sup_abs() ** 6), t_next - t)
+            dt = min(ctl.dt_max, ctl.theta / max(1e-12, float(np.abs(u.values).max()) ** 6), t_next - t)
             if k == halve_step:
                 dt /= 2.0
             u = step(u, dt)
@@ -364,10 +364,29 @@ class TestFrameThread:
         assert 0 <= tel["frame_wait_s"] and 0 < tel["frame_s"]
         assert one.provenance["telemetry"]["frame_wait_s"] == one.provenance["telemetry"]["frame_s"]
 
+    def test_blocks_of_16_and_5_same_on_both_paths(self, monkeypatch):
+        # 21 frames are finished as a block of 16 and one of 5, inline on one CPU and on the frame thread on two;
+        # on_frame sees the same (t, stats), each stats dict the bits of a one-row _frame_stats of its frame
+        evolve_mod = importlib.import_module("snls.evolve")
+        runs = []
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            seen = []
+            evolve(self.U0, (0.0, 0.1), self.CTL, on_frame=lambda t, f, s: seen.append((t, f.values.copy(), s)))
+            runs.append(seen)
+        one, two = runs
+        assert len(one) == 21 and [t for t, _, _ in one] == [t for t, _, _ in two]
+        for (_, u, stats), (_, u2, stats2) in zip(one, two):
+            fresh = evolve_mod._frame_stats(u[None], self.U0.grid, self.CTL)
+            assert u.tobytes() == u2.tobytes()
+            assert list(stats) == list(stats2) == list(evolve_mod._DENSITY_KEYS)
+            for k, x in zip(evolve_mod._DENSITY_KEYS, fresh):
+                assert stats[k].tobytes() == stats2[k].tobytes() == x[0].tobytes(), k
+
     @pytest.mark.parametrize("k", [1, 5, 11])
     def test_frame_exception_surfaces(self, two_cpus, k):
-        # raised on the frame thread at frame k, it surfaces when frame k + 1 is handed over (no later frame reaches
-        # on_frame), or when evolve ends
+        # raised on the frame thread at frame k, it surfaces at the next hand-over or, as here where the 11 frames are
+        # one block, when evolve ends; no later frame reaches on_frame
         calls = []
 
         def failing(t, field, stats):

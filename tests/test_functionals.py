@@ -1,5 +1,8 @@
 """Mass, energy, localized mass, Morawetz flux, and space-time norms."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -227,8 +230,9 @@ class TestSpaceTimeNorms:
 
     def test_json_row(self, grid_small):
         traj = linear_trajectory(gaussian_field(grid_small), (0.0, 0.2), StepController(snapshot_stride=0.05))
-        row = space_time_norms(traj, (0.0, 0.2)).to_json_row()
-        assert set(row) == {"t_a", "t_b", "S", "W", "N", "sup_Hsc", "mass", "energy"}
+        row = dataclasses.asdict(space_time_norms(traj, (0.0, 0.2)))
+        assert set(row) == {"interval", "S", "W", "N", "sup_Hsc", "mass", "energy"}
+        assert json.loads(json.dumps(row)) == {**row, "interval": [0.0, 0.2]}
 
 
 class TestSDensity:
