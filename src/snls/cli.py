@@ -17,7 +17,6 @@ import os
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +26,7 @@ from . import checkpoints as ckpt
 from . import intervals as iv
 from .config import ConfigError, RunConfig, _require, read_json
 from .evolve import Trajectory, evolve, rebuild_trajectory
-from .radial import RadialField
+from .radial import RadialField, _sfft
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -338,6 +337,9 @@ def _cmd_sweep(args) -> int:
     cells.sort(key=lambda c: tuple(str(c[1][k]) for k in keys))
 
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # not at module level: ~10 ms on every snls start
+
+        _sfft()  # bound before the fork, so no worker pays its own import
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_sweep_cell, cells))
     else:

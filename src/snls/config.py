@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import asdict, dataclass, field as dc_field, fields
 
 import numpy as np
 
-from .evolve import StepController, _time_span
+from .evolve import StepController, _check_frame_count, _time_span
 from .functionals import cutoff_profile
 from .intervals import ProofConstants
 from .radial import RadialField, RadialGrid, _is_real
@@ -24,9 +25,9 @@ def _check_initial_data(family, amplitude, width, chirp) -> None:
     """The initial-data ranges, each written once; the ValueError starts with the field name."""
     for name, value, ok, rule in (
         ("family", family, family in FAMILIES, f"be one of {FAMILIES}"),
-        ("amplitude", amplitude, _is_real(amplitude) and amplitude >= 0, "be a nonnegative number"),
+        ("amplitude", amplitude, _is_real(amplitude) and 0 <= amplitude < math.inf, "be a finite nonnegative number"),
         ("width", width, _is_real(width) and width > 0, "be a positive number"),
-        ("chirp", chirp, _is_real(chirp), "be a number"),
+        ("chirp", chirp, _is_real(chirp) and math.isfinite(chirp), "be a finite number"),
     ):
         if not ok:
             raise ValueError(f"{name} must {rule}, got {value!r}")
@@ -96,15 +97,17 @@ class RunConfig:
         initial_data = functools.partial(_check_initial_data, self.family, self.amplitude, self.width, self.chirp)
         for prefix, build in (("grid.", self.grid), ("controller.", self.controller),
                               ("constants: ", self.proof_constants), ("initial_data.", initial_data),
-                              ("time_span: ", functools.partial(_time_span, self.t_span))):
+                              ("time_span: ", functools.partial(_time_span, self.t_span)),
+                              ("controller.", lambda: _check_frame_count(*_time_span(self.t_span),
+                                                                         self.snapshot_stride, self.n))):
             try:
                 build()
             except ValueError as exc:
                 raise ConfigError(f"{prefix}{exc}") from exc
         _require(self.e_mode in ("measure", "declare"), "e_mode", "must be 'measure' or 'declare'")
         if self.e_mode == "declare":
-            _require(_is_real(self.e_declared) and self.e_declared > 0,
-                     "e_declared", "must be positive in declare mode")
+            _require(_is_real(self.e_declared) and 0 < self.e_declared < math.inf,
+                     "e_declared", "must be positive and finite in declare mode")
         _require(isinstance(self.seed, int) and not isinstance(self.seed, bool), "seed", "must be an integer")
         _require(isinstance(self.out_dir, str), "out_dir", "must be a string")
         return self

@@ -11,6 +11,7 @@ import contextlib
 import contextvars
 import functools
 import math
+import os
 import time
 from dataclasses import asdict, dataclass, field as dc_field, fields
 
@@ -195,17 +196,35 @@ def _trajectory(grid, times, frames, ctl: StepController, provenance: dict, stat
 
 
 def _time_span(t_span) -> tuple[float, float]:
-    """(t_a, t_b) of an increasing pair of real numbers; the one owner of the time-span rule."""
-    if not (len(t_span) == 2 and all(map(_is_real, t_span)) and t_span[0] < t_span[1]):
-        raise ValueError(f"must be an increasing pair, got {t_span}")
+    """(t_a, t_b) of an increasing pair of finite real numbers; the one owner of the time-span rule."""
+    if not (len(t_span) == 2 and all(_is_real(t) and math.isfinite(t) for t in t_span) and t_span[0] < t_span[1]):
+        raise ValueError(f"must be an increasing pair of finite numbers, got {t_span}")
     return float(t_span[0]), float(t_span[1])
 
 
-def _snapshot_times(t_a: float, t_b: float, stride: float, anchor: float | None = None) -> np.ndarray:
+def _check_frame_count(t_a: float, t_b: float, stride: float, n: int) -> None:
+    """ValueError naming snapshot_stride when the frames of a run over (t_a, t_b] cannot fit in physical memory.
+
+    The frames, the initial one and t_b's included, number at most
+    (t_b - t_a)/stride + 3 on any anchor, each of n complex samples; the
+    rule is that of intervals._cut_count, counted before any loop or array.
+    """
+    frames = (t_b - t_a) / stride + 3
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if not frames * n * 16 <= memory:
+        raise ValueError(f"snapshot_stride = {stride:.6g} over the time span ({t_a:.6g}, {t_b:.6g}] makes "
+                         f"{frames:.6g} frames of n = {n} samples, more than the {memory} bytes of physical "
+                         f"memory hold")
+
+
+def _snapshot_times(t_a: float, t_b: float, stride: float, anchor: float | None = None, n: int = 1) -> np.ndarray:
     """Snapshot boundaries anchor + k*stride inside (t_a, t_b], always ending at t_b.
 
-    The anchor (default t_a) keeps resumed runs on the original grid.
+    The anchor (default t_a) keeps resumed runs on the original grid.  The
+    frames at these times, n samples each, must fit in memory
+    (_check_frame_count).
     """
+    _check_frame_count(t_a, t_b, stride, n)
     anchor = t_a if anchor is None else anchor
     k = int(np.floor((t_a - anchor) / stride + 1e-9)) + 1
     out = []
@@ -315,7 +334,7 @@ def evolve(
     """
     t_a, t_b = _time_span(t_span)
     g = u0.grid
-    snap_times = _snapshot_times(t_a, t_b, ctl.snapshot_stride, snap_anchor)
+    snap_times = _snapshot_times(t_a, t_b, ctl.snapshot_stride, snap_anchor, g.n)
     r = g.nodes
 
     propagator = functools.lru_cache(maxsize=_PROPAGATOR_TABLE)(functools.partial(_propagator, g))
@@ -573,6 +592,6 @@ def rebuild_trajectory(
 def linear_trajectory(u0: RadialField, t_span, ctl: StepController) -> Trajectory:
     """Free-flow trajectory sampled like evolve (nonlinearity disabled)."""
     t_a, t_b = _time_span(t_span)
-    snap = np.concatenate(([t_a], _snapshot_times(t_a, t_b, ctl.snapshot_stride)))
+    snap = np.concatenate(([t_a], _snapshot_times(t_a, t_b, ctl.snapshot_stride, n=u0.grid.n)))
     frames = _free_flow_rows(snap - t_a, to_spectral(u0).coeffs, u0.grid)
     return _trajectory(u0.grid, snap, frames, ctl, {"linear": True})

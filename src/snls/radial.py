@@ -32,7 +32,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-import scipy.fft as sfft
 
 __all__ = [
     "RadialGrid",
@@ -205,6 +204,19 @@ def _path(shape) -> str:
     return "split" if n >= 4096 and n & (n - 1) == 0 and _cpus() >= 2 else "lanes"
 
 
+@functools.cache
+def _sfft():
+    """scipy.fft, imported on the first sine transform and bound once.
+
+    Not at module level: it adds ~0.2 s and ~25 MiB to every process, and
+    config loading, initial data, `snls bounds` without --monitor and
+    `snls select` never transform a field.
+    """
+    import scipy.fft
+
+    return scipy.fft
+
+
 def _dst1(x: np.ndarray) -> np.ndarray:
     """Orthonormal DST-I along the last axis of a raw real or complex array; its own inverse.
 
@@ -232,6 +244,7 @@ def _dst1(x: np.ndarray) -> np.ndarray:
     samples, so the bits do not depend on the path; `taskset -c 0` keeps one
     thread.  Real input and other dtypes take SciPy's own call.
     """
+    sfft = _sfft()
     if x.dtype != np.complex128:
         return sfft.dst(x, type=1, norm="ortho")
     path = _path(x.shape)
@@ -342,8 +355,8 @@ def rescale(field: RadialField, lam: float) -> RadialField:
 
     Samples of u beyond r_max are treated as zero; if more than 1% of the
     L2 mass lives there the result carries meta['truncation_warning'].
-    ``import snls`` loads numpy and scipy.fft only; rescale loads
-    scipy.interpolate on first use.
+    ``import snls`` loads numpy only; the first sine transform loads
+    scipy.fft (_sfft), and rescale loads scipy.interpolate on first use.
     """
     if not (lam > 0 and np.isfinite(lam)):
         raise ValueError(f"lambda must be positive and finite, got {lam}")

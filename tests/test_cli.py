@@ -28,7 +28,7 @@ from snls.checkpoints import (
 from snls import intervals, radial
 from snls.cli import EXIT_BLOWUP, EXIT_CONFIG, EXIT_OK, diagnose_trajectory, load_run, main, run_simulation
 from snls.config import FAMILIES, ConfigError, RunConfig, initial_field
-from snls.evolve import StepController, rebuild_trajectory
+from snls.evolve import StepController, _check_frame_count, rebuild_trajectory
 from snls.intervals import (
     EXCEPTIONAL, TAIL, UNEXCEPTIONAL, IntervalDecomposition, ProofConstants, synthetic_decomposition,
 )
@@ -116,7 +116,9 @@ class TestConfig:
         if prefix == "grid.":
             build, cfg = (lambda: RadialGrid(**{"r_max": 40.0, "n": 4096, field: value})), RunConfig(**{field: value})
         elif prefix == "controller.":
-            build, cfg = (lambda: StepController(**{field: value})), RunConfig(**{field: value})
+            # snapshot_stride also meets the frame-count rule, over RunConfig's default time span and grid
+            cfg = RunConfig(**{field: value})
+            build = lambda: _check_frame_count(*cfg.t_span, StepController(**{field: value}).snapshot_stride, cfg.n)
         elif prefix == "initial_data.":
             args = {**self.INITIAL_DATA, field: value}
             build, cfg = (lambda: initial_field(RadialGrid(20.0, 15), **args)), RunConfig(**{field: value})
@@ -641,6 +643,13 @@ class TestCommands:
         assert cells == sorted(cells)
         assert all(r.split(",")[2] == "ok" for r in rows[1:])
 
+    def test_sweep_jobs_2_writes_the_csv_of_jobs_1(self, tmp_path):
+        spec_path = _input_file(tmp_path, "sweep.json", {"base": {**FAST, "t_span": [0.0, 0.03]},
+                                                         "sweep": {"amplitude": [0.5, 1.0, 1.5]}})
+        for jobs in ("1", "2"):
+            assert main(["sweep", "--config", spec_path, "--out", str(tmp_path / jobs), "--jobs", jobs]) == EXIT_OK
+        assert (tmp_path / "2" / "sweep.csv").read_bytes() == (tmp_path / "1" / "sweep.csv").read_bytes()
+
     def test_sweep_keeps_failure_traceback(self, tmp_path):
         base = {**FAST, "t_span": [0.0, 0.03]}
         for name, thetas in (("grid", [0.1, 2.0]), ("alone", [0.1])):
@@ -710,12 +719,21 @@ def _instance(tmp_path, eta=0.2, **first_row):
     return _input_file(tmp_path, "instance.json", obj)
 
 
+def _simulate(tmp_path, **overrides):
+    return ["simulate", "--config", str(write_cfg(tmp_path, **overrides)), "--out", str(tmp_path / "r")]
+
+
 BAD_INPUTS = {
     "resume_without_manifest": _resume_without_manifest,
-    "simulate_unknown_constant": lambda tmp: [
-        "simulate", "--config", str(write_cfg(tmp, constants={"C": 2.0, "D": 1.0})), "--out", str(tmp / "r")],
-    "simulate_theta_string": lambda tmp: [
-        "simulate", "--config", str(write_cfg(tmp, theta="0.1")), "--out", str(tmp / "r")],
+    "simulate_unknown_constant": lambda tmp: _simulate(tmp, constants={"C": 2.0, "D": 1.0}),
+    "simulate_theta_string": lambda tmp: _simulate(tmp, theta="0.1"),
+    "simulate_infinite_t_end": lambda tmp: _simulate(tmp, t_span=[0.0, math.inf]),
+    "simulate_infinite_t_start": lambda tmp: _simulate(tmp, t_span=[-math.inf, 0.1]),
+    "simulate_infinite_amplitude": lambda tmp: _simulate(tmp, amplitude=math.inf),
+    "simulate_infinite_chirp": lambda tmp: _simulate(tmp, chirp=math.inf),
+    "simulate_infinite_e_declared": lambda tmp: _simulate(tmp, e_mode="declare", e_declared=math.inf),
+    # ~1e9 frames of 255 samples, about 4.1 TB: refused by arithmetic, before any snapshot loop or allocation
+    "simulate_frames_beyond_memory": lambda tmp: _simulate(tmp, n=255, t_span=[0.0, 1000.0], snapshot_stride=1e-6),
     "select_malformed_json": lambda tmp: ["select", _input_file(tmp, "instance.json", '{"eta": 0.1,')],
     "select_without_intervals": lambda tmp: ["select", _input_file(tmp, "instance.json", {"eta": 0.1})],
     "select_unknown_constant": lambda tmp: [
@@ -764,6 +782,7 @@ def test_bad_input_exits_2_with_one_error_line(case, tmp_path, capsys):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and "Traceback" not in err
     assert not (tmp_path / "bounds.json").exists()
+    assert not (tmp_path / "r").exists()  # a refused simulate makes no run directory
 
 
 # JSON's true and false pass isinstance(x, numbers.Real); the owner of each field rejects them by name

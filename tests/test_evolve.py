@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -271,6 +272,34 @@ def strang_reference(u0: RadialField, t_span, ctl: StepController, halve_step=No
         t = float(t_next)
         frames.append(u.values)
     return np.array(frames)
+
+
+class TestSnapshotTimes:
+    @settings(max_examples=200, deadline=None)
+    @given(t_a=st.floats(-10.0, 10.0), length=st.floats(1e-3, 10.0), stride=st.floats(1e-2, 5.0),
+           shift=st.floats(0.0, 3.0))
+    def test_frame_bound_holds(self, t_a, length, stride, shift):
+        # a resumed run anchors its snapshot grid at or before t_a
+        t_b = t_a + length
+        frames = 1 + _snapshot_times(t_a, t_b, stride, t_a - shift * stride).size
+        assert frames <= (t_b - t_a) / stride + 3
+
+    @pytest.mark.parametrize("memory, fits", [(16 * 4 * 13, True), (16 * 4 * 13 - 1, False)])
+    def test_frame_count_rule(self, memory, fits, monkeypatch):
+        # (0, 1] at stride 0.1 bounds the frames by 1/0.1 + 3 = 13, of n = 4 complex samples: 832 bytes
+        pages = {"SC_PHYS_PAGES": memory, "SC_PAGE_SIZE": 1}
+        evolve_mod = importlib.import_module("snls.evolve")  # the package's `evolve` is the function
+        monkeypatch.setattr(evolve_mod, "os", SimpleNamespace(sysconf=pages.__getitem__))
+        if fits:
+            assert _snapshot_times(0.0, 1.0, 0.1, n=4).size == 10
+        else:
+            with pytest.raises(ValueError, match=r"^snapshot_stride = 0.1 over the time span \(0, 1\] makes 13 frames"):
+                _snapshot_times(0.0, 1.0, 0.1, n=4)
+
+    @pytest.mark.parametrize("t_span", [(0.0, np.inf), (-np.inf, 0.1), (0.0, np.nan), (np.nan, 1.0)])
+    def test_non_finite_span_is_refused(self, t_span, grid_small):
+        with pytest.raises(ValueError, match="increasing pair of finite numbers"):
+            evolve(gaussian_field(grid_small), t_span, StepController())
 
 
 class TestFusedStepping:

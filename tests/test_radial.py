@@ -1,6 +1,7 @@
 """Transforms, multipliers, and norms against quadrature/closed-form oracles."""
 
 import importlib
+import json
 import multiprocessing
 import os
 import subprocess
@@ -18,6 +19,7 @@ from scipy.special import gamma
 
 from snls import radial
 from snls.checkpoints import TrajectoryFrameWriter, read_trajectory_frames
+from snls.intervals import synthetic_decomposition
 from snls.radial import (
     RadialField,
     RadialGrid,
@@ -189,7 +191,7 @@ class TestSplitTransform:
             calls.append((a.dtype, a.shape, kw.get("axis"), kw.get("workers")))
             return real_dst(a, **kw)
 
-        monkeypatch.setattr(radial.sfft, "dst", spy)
+        monkeypatch.setattr(sfft, "dst", spy)
         f8 = np.dtype(np.float64)
         radial._dst1(_complex_rows(n))
         assert calls == ([(f8, (n, 2), -2, None)] if lanes else [(f8, (n,), None, None)] * 2)  # one pass, or two halves
@@ -411,6 +413,40 @@ class TestRescale:
         src = os.path.dirname(os.path.dirname(radial.__file__))
         done = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
                               capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
+    def test_scipy_fft_loads_on_first_transform(self, tmp_path):
+        # a fresh interpreter: config loading, initial data, `snls bounds` and `snls select` load no scipy module
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 128, "r_max": 20.0, "amplitude": 1.4, "chirp": 0.3, "t_span": [0.0, 0.1]}))
+        instance = tmp_path / "instance.json"
+        instance.write_text(json.dumps(synthetic_decomposition(np.random.default_rng(5), 12, 0.2).to_json()))
+        script = textwrap.dedent("""
+            import sys
+            import numpy as np
+            import snls, snls.cli
+            from snls import radial
+            from snls.cli import main
+            from snls.config import RunConfig
+
+            def scipy_modules():
+                return [m for m in sys.modules if m.split(".")[0] == "scipy"]
+
+            row = RunConfig.load(sys.argv[1]).build_initial_field().values
+            assert main(["bounds", "--E", "1"]) == 0
+            assert main(["select", sys.argv[2]]) == 0
+            assert not scipy_modules(), scipy_modules()
+            rng = np.random.default_rng(7)
+            block = rng.standard_normal((3, 1023)) + 1j * rng.standard_normal((3, 1023))
+            real = radial._dst1(row.real)
+            assert "scipy.fft" in sys.modules
+            import scipy.fft
+            for x, out in ((row.real, real), (row, radial._dst1(row)), (block, radial._dst1(block))):
+                assert out.tobytes() == scipy.fft.dst(x, type=1, norm="ortho").tobytes()
+        """)
+        src = os.path.dirname(os.path.dirname(radial.__file__))
+        done = subprocess.run([sys.executable, "-c", script, str(cfg), str(instance)],
+                              env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
 
 
