@@ -374,12 +374,12 @@ def bootstrap_monitor(traj, mode: str, params: dict, constants: ProofConstants):
         sel = fn._frames_in(times, a, b)
         if sel.stop <= sel.start:
             return None
-        i15 = fn.series_integral_between(times, cum_s15, a, b)
-        ig = fn.series_integral_between(times, cum_g[S_CRITICAL], a, b)
+        i15 = float(fn.series_integral_between(times, cum_s15, a, b))
+        ig = float(fn.series_integral_between(times, cum_g[S_CRITICAL], a, b))
         return float(d["H_sc"][sel].max()) + i15 ** (1.0 / 15.0) + ig ** 0.3
 
     n = _cut_count(float(cum_s15[reach[-1] + 1]), quantum, counts[reach[-1]])
-    cuts = np.interp(np.arange(n + 1) * quantum, cum_s15, times)
+    cuts = np.concatenate(([times[0]], fn.series_cut_times(times, cum_s15, np.arange(1, n + 1) * quantum)))
     lo, hi = fn._frame_windows(times, cuts[:-1], cuts[1:])
     held = np.flatnonzero(hi > lo)
     s_held = [interval_s(cuts[j], cuts[j + 1]) for j in held]

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import bounds as bd
 from . import checkpoints as ckpt
+from . import functionals as fn
 from . import intervals as iv
 from .config import ConfigError, RunConfig, _require, read_json
 from .evolve import Trajectory, evolve, rebuild_trajectory
@@ -182,7 +183,7 @@ def diagnose_trajectory(traj: Trajectory, constants: iv.ProofConstants,
     decomp = iv.partition_trajectory(traj, eta)
     decomp = iv.classify(decomp, traj, constants)
 
-    total = float(np.trapezoid(traj.densities["s_density"], traj.times))
+    total = fn.series_integral(traj.times, traj.densities["s_density"])
     sum_masses = float(sum(decomp.masses.tolist()))  # left to right: np.sum's pairwise order changes the bits
     rel_err = abs(total - sum_masses) / max(total, 1e-300)
     n_tail = len(decomp.indices(iv.TAIL))

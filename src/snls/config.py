@@ -105,9 +105,9 @@ class RunConfig:
             except ValueError as exc:
                 raise ConfigError(f"{prefix}{exc}") from exc
         _require(self.e_mode in ("measure", "declare"), "e_mode", "must be 'measure' or 'declare'")
-        if self.e_mode == "declare":
-            _require(_is_real(self.e_declared) and 0 < self.e_declared < math.inf,
-                     "e_declared", "must be positive and finite in declare mode")
+        _require(self.e_declared is None or _is_real(self.e_declared) and 0 < self.e_declared < math.inf,
+                 "e_declared", "must be null or a positive finite number")
+        _require(self.e_mode == "measure" or self.e_declared is not None, "e_declared", "is required in declare mode")
         _require(isinstance(self.seed, int) and not isinstance(self.seed, bool), "seed", "must be an integer")
         _require(isinstance(self.out_dir, str), "out_dir", "must be a string")
         return self

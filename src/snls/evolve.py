@@ -11,7 +11,6 @@ import contextlib
 import contextvars
 import functools
 import math
-import os
 import time
 from dataclasses import asdict, dataclass, field as dc_field, fields
 
@@ -19,8 +18,8 @@ import numpy as np
 
 from . import functionals as fn
 from .radial import (
-    _FRAME_BLOCK, RadialField, RadialGrid, SpectralField, _block_rows, _dst1, _is_real, _path, _pool,
-    _sobolev2_rows, _spectral_rows, _volume_rows, from_spectral, to_spectral,
+    _FRAME_BLOCK, RadialField, RadialGrid, SpectralField, _block_rows, _dst1, _is_real, _path, _physical_memory,
+    _pool, _sobolev2_rows, _spectral_rows, _volume_rows, from_spectral, to_spectral,
 )
 
 __all__ = [
@@ -210,7 +209,7 @@ def _check_frame_count(t_a: float, t_b: float, stride: float, n: int) -> None:
     rule is that of intervals._cut_count, counted before any loop or array.
     """
     frames = (t_b - t_a) / stride + 3
-    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    memory = _physical_memory()
     if not frames * n * 16 <= memory:
         raise ValueError(f"snapshot_stride = {stride:.6g} over the time span ({t_a:.6g}, {t_b:.6g}] makes "
                          f"{frames:.6g} frames of n = {n} samples, more than the {memory} bytes of physical "

@@ -1,8 +1,8 @@
 """Scalar functionals: mass, energy, localized mass, Morawetz flux, space-time norms.
 
-Space-time (L^q in time) quantities integrate over a trajectory's stored
-frames by the trapezoid rule; the frame stride is therefore the accuracy
-knob for every L^q_t norm.
+Every time integral of a series over stored frames is the trapezoid rule owned
+here (series_integral, cumulative_series_integral, series_integral_between and
+its inverse series_cut_times), so the frame stride sets the accuracy of each.
 """
 
 from __future__ import annotations
@@ -22,8 +22,10 @@ __all__ = [
     "localized_mass_rate",
     "morawetz_flux",
     "space_time_norms",
+    "series_integral",
     "cumulative_series_integral",
     "series_integral_between",
+    "series_cut_times",
 ]
 
 S_CRITICAL = 7.0 / 6.0
@@ -130,7 +132,7 @@ def morawetz_flux(traj, interval, R_cut: float) -> float:
     r = traj.grid.nodes
     weight = np.where(r < R_cut, 1.0 / r, 0.0)
     vals = _block_rows(traj.frames[sel], lambda u: _volume_rows(np.abs(u) ** 8 * weight, traj.grid))
-    return float(np.trapezoid(vals, times))
+    return series_integral(times, vals)
 
 
 @dataclass(frozen=True)
@@ -148,7 +150,7 @@ class NormReport:
 
 def _lqt(values: np.ndarray, times: np.ndarray, q: float) -> float:
     """(int ||.||^q dt)^(1/q) by trapezoid over the frame times."""
-    return float(np.trapezoid(values**q, times) ** (1.0 / q))
+    return series_integral(times, values**q) ** (1.0 / q)
 
 
 def _wn_rows(u: np.ndarray, grid) -> list:
@@ -173,13 +175,18 @@ def space_time_norms(traj, interval) -> NormReport:
     w_a, w_b, n_v = _block_rows(traj.frames[sel], _wn_rows, traj.grid)
     return NormReport(
         interval=(float(interval[0]), float(interval[1])),
-        S=float(np.trapezoid(d["s_density"], times) ** (1.0 / 15.0)),
+        S=series_integral(times, d["s_density"]) ** (1.0 / 15.0),
         W=max(_lqt(w_a, times, 10.0 / 3.0), _lqt(w_b, times, 15.0)),
         N=_lqt(n_v, times, 10.0 / 7.0),
         sup_Hsc=float(d["H_sc"].max()),
         mass=float(d["mass"].mean()),
         energy=float(d["energy"].mean()),
     )
+
+
+def series_integral(times: np.ndarray, values: np.ndarray) -> float:
+    """Trapezoid of a sampled time series over its whole span (a pairwise sum)."""
+    return float(np.trapezoid(values, times))
 
 
 def cumulative_series_integral(times: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -193,8 +200,15 @@ def cumulative_series_integral(times: np.ndarray, values: np.ndarray) -> np.ndar
     return out
 
 
-def series_integral_between(times, cumulative, t_a: float, t_b: float) -> float:
-    """Integral over [t_a, t_b] via linear interpolation of the cumulative sums."""
-    ca = float(np.interp(t_a, times, cumulative))
-    cb = float(np.interp(t_b, times, cumulative))
-    return cb - ca
+def series_integral_between(times, cumulative, t_a, t_b):
+    """Integral over [t_a, t_b] via linear interpolation of the cumulative sums; arrays of ends give arrays."""
+    return np.interp(t_b, times, cumulative) - np.interp(t_a, times, cumulative)
+
+
+def series_cut_times(times: np.ndarray, cum: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """First time cum reaches each target in (0, cum[-1]], so a flat stretch is cut at its start; above, times[-1]."""
+    out = np.full(targets.shape, times[-1])
+    inside = targets <= cum[-1]
+    c, i = targets[inside], np.searchsorted(cum, targets[inside], side="left")
+    out[inside] = times[i - 1] + (c - cum[i - 1]) / (cum[i] - cum[i - 1]) * (times[i] - times[i - 1])
+    return out

@@ -11,14 +11,13 @@ oracle to certify it.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import asdict, dataclass, field as dc_field, fields, replace
 
 import numpy as np
 
 from . import functionals as fn
 from .evolve import Trajectory, _free_flow_rows
-from .radial import _block_rows, _hardy_mass_rows, _is_real, to_spectral
+from .radial import _block_rows, _hardy_mass_rows, _is_real, _physical_memory, to_spectral
 
 __all__ = [
     "eta_of",
@@ -250,7 +249,7 @@ def _cut_count(total: float, eta: float, J) -> int:
     here first: when J + 1 float64 cuts cannot fit in physical memory, this
     raises PartitionTooLarge before numpy is asked for the array.
     """
-    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    memory = _physical_memory()
     if not (J + 1) * 8 <= memory:
         raise PartitionTooLarge(f"partition too large: int s dt = {total:.6g} in pieces of eta = {eta:.6g} "
                                 f"makes J = {J:.6g} intervals, whose J + 1 cuts need more than the "
@@ -261,11 +260,11 @@ def _cut_count(total: float, eta: float, J) -> int:
 def partition_by_eta(times, density, eta: float) -> IntervalDecomposition:
     """Greedy left-to-right cut whenever the running L^15 mass reaches eta.
 
-    The cumulative integral is trapezoidal over the samples and linearly
-    interpolated between them, so every non-tail interval carries mass in
-    [eta, 2*eta] (exactly eta except possibly the last, which absorbs a
-    terminal sliver).  A remainder below eta becomes a flagged tail.  Cuts
-    that cannot fit in physical memory raise PartitionTooLarge.
+    The running mass and its inverse are functionals' time rule, so each
+    non-tail interval carries mass in [eta, 2*eta] (exactly eta except
+    possibly the last, which absorbs a terminal sliver).  A remainder
+    below eta becomes a flagged tail.  Cuts that cannot fit in physical
+    memory raise PartitionTooLarge.
     """
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta}")
@@ -288,9 +287,7 @@ def partition_by_eta(times, density, eta: float) -> IntervalDecomposition:
     remainder = total - n_full * eta
     merge_sliver = remainder <= 1e-9 * eta
     targets = np.arange(1, n_full if merge_sliver else n_full + 1) * eta  # a merged sliver ends at t_b
-    i = np.searchsorted(cum, targets, side="left")
-    inner = times[i - 1] + (targets - cum[i - 1]) / (cum[i] - cum[i - 1]) * (times[i] - times[i - 1])
-    cuts = np.concatenate(([t_a], inner, [t_b]))
+    cuts = np.concatenate(([t_a], fn.series_cut_times(times, cum, targets), [t_b]))
     masses = np.full(cuts.size - 1, eta)
     flags = np.full(cuts.size - 1, UNEXCEPTIONAL, dtype=object)
     if merge_sliver:
@@ -318,7 +315,7 @@ def linear_density_series(traj: Trajectory, anchor_index: int) -> np.ndarray:
 def _free_flow_masses(traj: Trajectory, anchor_index: int, a, b) -> np.ndarray:
     """int_a^b ||e^{i(t - t_anchor) L} u(t_anchor)||_L15^15 dt over intervals [a, b] (arrays or scalars)."""
     cum = fn.cumulative_series_integral(traj.times, linear_density_series(traj, anchor_index))
-    return np.interp(b, traj.times, cum) - np.interp(a, traj.times, cum)
+    return fn.series_integral_between(traj.times, cum, a, b)
 
 
 def classify(decomp: IntervalDecomposition, traj: Trajectory, constants: ProofConstants) -> IntervalDecomposition:

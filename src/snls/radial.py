@@ -180,6 +180,11 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory: the ceiling on the stored frames and on a partition's cuts."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
 # Single rows: lane time over split time, medians of two sets of 20 interleaved one-row calls on a 2-core
 # machine: 0.39-0.40 at n = 2047, 0.82-0.90 at 2048, 0.50-0.52 at 4095, 1.15-1.24 at 4096, 0.70-0.85 at
 # 8191, 1.80-1.81 at 8192, 0.86-0.91 at 16383 and 1.32-1.43 at 16384, so the split takes the powers of two

@@ -22,7 +22,7 @@ from snls.bounds import (
 from snls import functionals as fn
 from snls.bounds import _component_series
 from snls.evolve import StepController, evolve
-from snls.intervals import ProofConstants
+from snls.intervals import ProofConstants, partition_by_eta
 from snls.radial import RadialField, RadialGrid, lebesgue_norm
 
 from conftest import gaussian_field
@@ -38,11 +38,12 @@ def _doubling_run():
     return evolve(gaussian_field(RadialGrid(20.0, 255), amplitude=1.5), (0.0, 0.3), ctl)
 
 
-def _scalar_doubling(traj, mode, C_tilde):
+def _scalar_doubling(traj, mode, C_tilde, cuts_of=None):
     """(max doubling ratio, broken, cut count) per record, cutting each [0, T_m] afresh.
 
-    One scalar np.interp per cut and a boolean mask per interval; the chain
-    stops at the first ratio above 2 C_tilde.
+    One scalar np.interp per cut, or the cuts cuts_of(m, quantum) of
+    [0, T_m], and a boolean mask per interval; the chain stops at the first
+    ratio above 2 C_tilde.
     """
     times, d = traj.times, traj.densities
     cum_s15 = fn.cumulative_series_integral(times, d["s_density"])
@@ -54,7 +55,10 @@ def _scalar_doubling(traj, mode, C_tilde):
         n_full = int(float(cum_s15[m]) / quantum)
         doubling, broken = None, False
         if n_full >= 2:
-            cuts = [float(np.interp(k * quantum, cum_s15[: m + 1], times[: m + 1])) for k in range(n_full + 1)]
+            if cuts_of is None:
+                cuts = [float(np.interp(k * quantum, cum_s15[: m + 1], times[: m + 1])) for k in range(n_full + 1)]
+            else:
+                cuts = cuts_of(m, quantum)[: n_full + 1]
             prev = None
             for a, b in zip(cuts, cuts[1:]):
                 sel = (times >= a - 1e-12) & (times <= b + 1e-12)
@@ -361,6 +365,30 @@ class TestBootstrapMonitor:
         reference = _scalar_doubling(traj, "theorem1", CONST.C_tilde)
         assert records[0]["interval_count"] == 9
         assert [r["max_doubling_ratio"] for r in records] == [doubling for doubling, _, _ in reference]
+
+    def test_flat_stretch_cut_at_its_first_time(self, grid_small):
+        # at C_tilde = 1 the quantum is 1/32; dyadic times and densities make every running mass exact, and the
+        # mass of the first frame, one quantum, holds over frames 1-3, where the density is zero.  The greedy cut
+        # takes the stretch's first time, so frame 2's bump in H_sc falls in the second interval; np.interp
+        # would take the stretch's last time and put it in the first.
+        const = ProofConstants(C_tilde=1.0)
+        assert (1.0 / (4.0 * const.C_tilde)) ** 2.5 == 1.0 / 32.0
+        ctl = StepController(dt_max=0.01, snapshot_stride=0.05)
+        traj = evolve(RadialField.zero(grid_small), (0.0, 0.6), ctl)
+        s_density, h_sc = np.full(traj.times.size, 0.5), np.ones(traj.times.size)
+        s_density[1:4], h_sc[2] = 0.0, 1.5
+        traj = dataclasses.replace(traj, times=np.arange(traj.times.size) / 8.0,
+                                   densities={**traj.densities, "s_density": s_density, "H_sc": h_sc})
+
+        def partition_cuts(m, quantum):
+            d = partition_by_eta(traj.times[: m + 1], s_density[: m + 1], quantum)
+            return [a for a, _ in d.intervals] + [d.intervals[-1][1]]
+
+        records = bootstrap_monitor(traj, "theorem1", T1_PASSING, const)
+        reference = _scalar_doubling(traj, "theorem1", const.C_tilde, partition_cuts)
+        assert [r["max_doubling_ratio"] for r in records] == [doubling for doubling, _, _ in reference]
+        assert [r["interval_count"] for r in records] == [n for _, _, n in reference]
+        assert reference != _scalar_doubling(traj, "theorem1", const.C_tilde)
 
     @pytest.mark.parametrize("mode, params, link", [
         ("theorem1", {"log_R0": 50.0, "delta": 1e-3, "E0": 1.0, "m_ceiling": 1e9}, "interpolation ceiling"),

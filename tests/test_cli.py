@@ -732,6 +732,7 @@ BAD_INPUTS = {
     "simulate_infinite_amplitude": lambda tmp: _simulate(tmp, amplitude=math.inf),
     "simulate_infinite_chirp": lambda tmp: _simulate(tmp, chirp=math.inf),
     "simulate_infinite_e_declared": lambda tmp: _simulate(tmp, e_mode="declare", e_declared=math.inf),
+    "simulate_string_e_declared": lambda tmp: _simulate(tmp, e_declared="abc"),  # measure mode checks it too
     # ~1e9 frames of 255 samples, about 4.1 TB: refused by arithmetic, before any snapshot loop or allocation
     "simulate_frames_beyond_memory": lambda tmp: _simulate(tmp, n=255, t_span=[0.0, 1000.0], snapshot_stride=1e-6),
     "select_malformed_json": lambda tmp: ["select", _input_file(tmp, "instance.json", '{"eta": 0.1,')],
@@ -798,6 +799,7 @@ BOOLEAN_FIELDS = [
     ("simulate", {"t_span": [False, True]}, "time_span"),
     ("simulate", {"constants": {"C": True}}, "constants: constant C"),
     ("simulate", {"e_mode": "declare", "e_declared": True}, "e_declared"),
+    ("simulate", {"e_declared": True}, "e_declared: must be null"),  # measure mode
     ("select", {"eta": True}, "eta"),
     ("select", {"t0": False}, "t0"),
     ("select", {"t1": True}, "t1"),

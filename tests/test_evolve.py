@@ -288,8 +288,7 @@ class TestSnapshotTimes:
     def test_frame_count_rule(self, memory, fits, monkeypatch):
         # (0, 1] at stride 0.1 bounds the frames by 1/0.1 + 3 = 13, of n = 4 complex samples: 832 bytes
         pages = {"SC_PHYS_PAGES": memory, "SC_PAGE_SIZE": 1}
-        evolve_mod = importlib.import_module("snls.evolve")  # the package's `evolve` is the function
-        monkeypatch.setattr(evolve_mod, "os", SimpleNamespace(sysconf=pages.__getitem__))
+        monkeypatch.setattr(radial, "os", SimpleNamespace(sysconf=pages.__getitem__))
         if fits:
             assert _snapshot_times(0.0, 1.0, 0.1, n=4).size == 10
         else:

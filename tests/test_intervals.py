@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from snls import functionals as fn, intervals
+from snls import functionals as fn, radial
 from snls.evolve import StepController, Trajectory, evolve, free_evolve, linear_trajectory
 from snls.functionals import (
     cumulative_series_integral,
     cutoff_profile,
     localized_mass,
     s_density,
+    series_cut_times,
     series_integral_between,
 )
 from snls.intervals import (
@@ -166,6 +167,16 @@ class TestPartition:
         cum = cumulative_series_integral(times, density)
         for (a, b), m in zip(d.intervals, d.masses):
             assert abs(series_integral_between(times, cum, a, b) - m) <= 1e-9 * max(total, eta)
+        # the inverse: each sample's running mass is first reached at the first sample that holds it (the start
+        # of a flat stretch), a target above the total at the last time, and integrating up to a cut gives back
+        # its target
+        reached = cum[cum > 0]
+        targets = np.append(reached, np.nextafter(cum[-1], np.inf))
+        cut = series_cut_times(times, cum, targets)
+        first = [times[np.flatnonzero(cum >= x)[0]] for x in reached]
+        assert np.allclose(cut[:-1], first, rtol=1e-15, atol=0) and cut[-1] == times[-1]
+        back = series_integral_between(times, cum, times[0], cut)
+        assert np.all(np.abs(back - targets) <= 1e-9 * max(total, eta))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -211,7 +222,7 @@ class TestPartition:
     def test_cut_count_rule(self, memory, fits, monkeypatch):
         # J = 4 intervals of mass 1 have J + 1 = 5 float64 cuts: 40 bytes of physical memory
         pages = {"SC_PHYS_PAGES": memory, "SC_PAGE_SIZE": 1}
-        monkeypatch.setattr(intervals, "os", SimpleNamespace(sysconf=pages.__getitem__))
+        monkeypatch.setattr(radial, "os", SimpleNamespace(sysconf=pages.__getitem__))
         if fits:
             assert len(partition_by_eta([0.0, 1.0], [4.0, 4.0], 1.0)) == 4
         else:
