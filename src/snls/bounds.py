@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import functionals as fn
-from .intervals import ProofConstants, _cut_count, eta_of
+from .intervals import ProofConstants, _cut_count, _merges_sliver, eta_of
 from .radial import _block_rows, _fractional_rows, _lp_rows
 
 __all__ = [
@@ -304,8 +304,11 @@ def bootstrap_monitor(traj, mode: str, params: dict, constants: ProofConstants):
     of the cut of the whole run, so the run is cut once and each record
     reads its prefix.  Only a record's last cut is its own: the cut of
     [0, T_m] stops at T_m, which the run's cut passes where n * quantum
-    rounds above cum_s15[m].  A cut that cannot fit in physical memory
-    raises intervals.PartitionTooLarge.
+    rounds above cum_s15[m], and it is T_m wherever the mass past
+    n * quantum is a sliver that partition_by_eta merges into the last
+    interval (intervals._merges_sliver, which also decides whether a
+    record counts a tail interval).  A cut that cannot fit in physical
+    memory raises intervals.PartitionTooLarge.
     """
     if mode not in ("theorem1", "corollary"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -330,7 +333,7 @@ def bootstrap_monitor(traj, mode: str, params: dict, constants: ProofConstants):
     quantum = eps ** 2.5  # interval cut: ||u||_L15(I)^6 = eps, i.e. integral of s_density = eps^(5/2)
     sup_hsc = np.maximum.accumulate(d["H_sc"])
 
-    records, counts = [], []
+    records, counts, merged = [], [], []
     for m in range(1, times.size):
         # scalar powers, in this order: NumPy's array ** can round differently from pow
         s15 = cum_s15[m] ** (1.0 / 15.0)
@@ -348,7 +351,8 @@ def bootstrap_monitor(traj, mode: str, params: dict, constants: ProofConstants):
             violated = "slow-growth hypothesis"
         total_mass = float(cum_s15[m])
         n_full = int(total_mass / quantum)
-        m_count = n_full + (1 if total_mass - n_full * quantum > 1e-12 * quantum else 0)
+        sliver = _merges_sliver(total_mass - n_full * quantum, quantum)
+        m_count = n_full if sliver else n_full + 1
         if violated is None and m_count > m_ceiling:
             violated = "partition count"
         records.append({
@@ -361,6 +365,7 @@ def bootstrap_monitor(traj, mode: str, params: dict, constants: ProofConstants):
             "violated": violated,
         })
         counts.append(n_full)
+        merged.append(sliver)
         if violated is not None:
             break
 
@@ -391,8 +396,9 @@ def bootstrap_monitor(traj, mode: str, params: dict, constants: ProofConstants):
         c = int(np.searchsorted(held, n - 1))  # held intervals before the record's last one
         last = min(c - 2, first_broken)  # the record's last shared link
         doubling = float(running[last]) if last >= 0 else None
-        # the record's own last interval, whose cut stops at T_m
-        s = interval_s(cuts[n - 1], min(cuts[n], times[m])) if c and last < first_broken else None
+        # the record's own last interval, whose cut stops at T_m, and ends there when it absorbs a sliver
+        end = times[m] if merged[i] else min(cuts[n], times[m])
+        s = interval_s(cuts[n - 1], end) if c and last < first_broken else None
         if s is not None:
             ratio = s / max(s_held[c - 1], 1e-300)
             doubling = max(doubling or 0.0, ratio)

@@ -264,15 +264,16 @@ def _step(v: np.ndarray, q: np.ndarray, pending: float, dt: float, prop: np.ndar
 
     v (q = |v|^2) owes a half-phase of length pending, merged with the step's opening one; prop is
     exp(-i rho^2 dt).  w owes its own closing half-phase dt/2; None when that would not be finite.
+    The caller must ignore overflow and invalid (np.errstate), since a step that overflows is that
+    None: evolve enters that state once per snapshot segment, strang_step once per call.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # a step that overflows is the None below
-        w = _rotate(v, q, pending + 0.5 * dt)
-        w *= r
-        c = _dst1(w)
-        c *= prop
-        w = _dst1(c)
-        w /= r
-        q_w = _modulus2(w)
+    w = _rotate(v, q, pending + 0.5 * dt)
+    w *= r
+    c = _dst1(w)
+    c *= prop
+    w = _dst1(c)
+    w /= r
+    q_w = _modulus2(w)
     qmax_w = float(q_w.max())
     if not math.isfinite(qmax_w * qmax_w * qmax_w * (0.5 * dt)):
         return None
@@ -280,11 +281,17 @@ def _step(v: np.ndarray, q: np.ndarray, pending: float, dt: float, prop: np.ndar
 
 
 def strang_step(field: RadialField, dt: float) -> RadialField:
-    """Second-order split step: half nonlinear phase, free flow, half phase; FloatingPointError if not finite."""
+    """Second-order split step: half nonlinear phase, free flow, half phase; FloatingPointError if not finite.
+
+    The step itself runs with overflow and invalid ignored, as _step requires.
+    """
     if dt == 0.0:
         return field
     g, u = field.grid, field.values
-    if (out := _step(u, _modulus2(u), 0.0, dt, _propagator(g, dt), g.nodes)) is None:
+    q, prop = _modulus2(u), _propagator(g, dt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _step(u, q, 0.0, dt, prop, g.nodes)
+    if out is None:
         raise FloatingPointError(f"non-finite samples after step dt = {dt}")
     return RadialField(g, _rotate(out[0], out[1], 0.5 * dt))
 
@@ -325,11 +332,15 @@ def evolve(
     phase exp(-i|u|^6 (dt_k + dt_{k+1})/2), which is exact because the
     phase leaves |u| unchanged.  Each snapshot segment starts from the
     stored frame and closes with the pending half-phase, so a run resumed
-    from a frame repeats the original bytes.  provenance['telemetry']
-    records accepted steps, rejected halvings, the dt range, the wall
-    seconds of frame work (frame_s, on whichever thread ran it) and the
-    seconds the stepper spent on it (frame_wait_s: its waits for the frame
-    thread, or all of frame_s where the work runs inline).
+    from a frame repeats the original bytes.  A segment's steps run in one
+    np.errstate that ignores overflow and invalid, entered once per
+    segment rather than per step; storing its frame stays outside it.
+
+    provenance['telemetry'] records accepted steps, rejected halvings, the
+    dt range, the wall seconds of frame work (frame_s, on whichever thread
+    ran it) and the seconds the stepper spent on it (frame_wait_s: its
+    waits for the frame thread, or all of frame_s where the work runs
+    inline).
     """
     t_a, t_b = _time_span(t_span)
     g = u0.grid
@@ -399,32 +410,34 @@ def evolve(
             # v is the field before its pending closing half-phase of length `pending`
             v, q, pending = u, _modulus2(u), 0.0
             qmax = float(q.max())
-            while status == "ok":
-                rem = t_next - t
-                if rem <= 1e-12 * max(1.0, abs(t_next)):
-                    break
-                sup = math.sqrt(qmax)
-                if sup > ctl.blowup_ceiling:
-                    status = "blowup_abort"
-                    break
-                with np.errstate(over="ignore"):  # sup^6 overflows to inf, and dt_raw to 0
+            # one error state per segment: sup^6 overflows to inf (and dt_raw to 0), and a step that overflows is
+            # _step's None; the frame work in store() runs under the caller's state
+            with np.errstate(over="ignore", invalid="ignore"):
+                while status == "ok":
+                    rem = t_next - t
+                    if rem <= 1e-12 * max(1.0, abs(t_next)):
+                        break
+                    sup = math.sqrt(qmax)
+                    if sup > ctl.blowup_ceiling:
+                        status = "blowup_abort"
+                        break
                     dt_raw = min(ctl.dt_max, ctl.theta / max(1e-12, float(np.float64(sup) ** 6)))
-                dt = min(dt_raw, rem)
-                if not t + dt > t:  # a zero, NaN or unresolvable step would never reach t_next
-                    status = "dt_underflow"
-                    break
-                while (out := _step(v, q, pending, dt, propagator(dt), r)) is None:
-                    halvings += 1
-                    dt /= 2.0
-                    if dt < 1e-12 * dt_raw:
+                    dt = min(dt_raw, rem)
+                    if not t + dt > t:  # a zero, NaN or unresolvable step would never reach t_next
                         status = "dt_underflow"
                         break
-                if status != "ok":
-                    break
-                (v, q, qmax), pending = out, 0.5 * dt
-                t += dt
-                steps += 1
-                dt_lo, dt_hi = min(dt_lo, dt), max(dt_hi, dt)
+                    while (out := _step(v, q, pending, dt, propagator(dt), r)) is None:
+                        halvings += 1
+                        dt /= 2.0
+                        if dt < 1e-12 * dt_raw:
+                            status = "dt_underflow"
+                            break
+                    if status != "ok":
+                        break
+                    (v, q, qmax), pending = out, 0.5 * dt
+                    t += dt
+                    steps += 1
+                    dt_lo, dt_hi = min(dt_lo, dt), max(dt_hi, dt)
             if status != "ok":
                 break
             t = t_next

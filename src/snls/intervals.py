@@ -257,6 +257,15 @@ def _cut_count(total: float, eta: float, J) -> int:
     return int(J)
 
 
+def _merges_sliver(remainder: float, eta: float) -> bool:
+    """Whether the mass past the last full interval of a threshold-eta cut is a sliver: at most 1e-9 eta.
+
+    The one sliver rule: a sliver is absorbed by the last full interval,
+    which then ends where the cut span does, and is no tail of its own.
+    """
+    return remainder <= 1e-9 * eta
+
+
 def partition_by_eta(times, density, eta: float) -> IntervalDecomposition:
     """Greedy left-to-right cut whenever the running L^15 mass reaches eta.
 
@@ -285,7 +294,7 @@ def partition_by_eta(times, density, eta: float) -> IntervalDecomposition:
 
     n_full = _cut_count(total, eta, np.floor(total / eta + 1e-12))
     remainder = total - n_full * eta
-    merge_sliver = remainder <= 1e-9 * eta
+    merge_sliver = _merges_sliver(remainder, eta)
     targets = np.arange(1, n_full if merge_sliver else n_full + 1) * eta  # a merged sliver ends at t_b
     cuts = np.concatenate(([t_a], fn.series_cut_times(times, cum, targets), [t_b]))
     masses = np.full(cuts.size - 1, eta)

@@ -211,15 +211,17 @@ def _path(shape) -> str:
 
 @functools.cache
 def _sfft():
-    """scipy.fft, imported on the first sine transform and bound once.
+    """(scipy.fft.dst, pocketfft's dst), imported on the first sine transform and bound once.
 
     Not at module level: it adds ~0.2 s and ~25 MiB to every process, and
     config loading, initial data, `snls bounds` without --monitor and
-    `snls select` never transform a field.
+    `snls select` never transform a field.  The second is the C routine in
+    which scipy.fft.dst ends, dst(a, type, axes, inorm, out, nthreads).
     """
     import scipy.fft
+    from scipy.fft._pocketfft.pypocketfft import dst
 
-    return scipy.fft
+    return scipy.fft.dst, dst
 
 
 def _dst1(x: np.ndarray) -> np.ndarray:
@@ -238,8 +240,8 @@ def _dst1(x: np.ndarray) -> np.ndarray:
       contiguous, as real (..., n, 2) and transformed along the n axis, so
       pocketfft runs both halves as the two lanes of one SIMD pass;
     * workers (blocks of rows of at least 1023 samples, on two or more
-      CPUs): the same lane view with workers=2, so pocketfft shares the
-      lane pairs out over two of its own threads;
+      CPUs): the same lane view on two pocketfft threads, which share the
+      lane pairs out;
     * split (single rows of a power of two from 4096 up, on two or more
       CPUs): the imaginary half, in place in the output, runs on the helper
       thread (pocketfft releases the GIL) while the calling thread
@@ -247,23 +249,29 @@ def _dst1(x: np.ndarray) -> np.ndarray:
 
     Each lane, and each half, is the same real transform of the same
     samples, so the bits do not depend on the path; `taskset -c 0` keeps one
-    thread.  Real input and other dtypes take SciPy's own call.
+    thread.  Every path calls pocketfft's dst directly, with inorm = 1
+    (norm="ortho" for type I): scipy.fft.dst spends 6-7 us a call on
+    dispatch and argument checks before it reaches that routine, 40% of a
+    512-sample lane pass (README, "Numerical design").  SciPy keeps the
+    routine private; the tests pin every path byte for byte to the public
+    scipy.fft.dst, so a change in SciPy fails them rather than drifting.
+    Real input and other dtypes take scipy.fft.dst, which converts them.
     """
-    sfft = _sfft()
+    scipy_dst, dst = _sfft()
     if x.dtype != np.complex128:
-        return sfft.dst(x, type=1, norm="ortho")
+        return scipy_dst(x, type=1, norm="ortho")
     path = _path(x.shape)
+    axes = (x.ndim - 1,)  # the last axis of x, of each half and of the lane view alike
     if path == "split":
         out = np.array(x)
-        imag = _pool().submit(sfft.dst, out.imag, type=1, norm="ortho", overwrite_x=True)
-        sfft.dst(out.real, type=1, norm="ortho", overwrite_x=True)
+        imag = _pool().submit(dst, out.imag, 1, axes, 1, out.imag, 1)
+        dst(out.real, 1, axes, 1, out.real, 1)
         imag.result()
         return out
     if x.strides[-1] != x.itemsize:  # a float64 view needs the real and imaginary parts side by side
         x = np.ascontiguousarray(x)
     lanes = x.view(np.float64).reshape(x.shape + (2,))
-    workers = 2 if path == "workers" else None
-    return sfft.dst(lanes, type=1, norm="ortho", axis=-2, workers=workers).view(np.complex128).reshape(x.shape)
+    return dst(lanes, 1, axes, 1, None, 2 if path == "workers" else 1).view(np.complex128).reshape(x.shape)
 
 
 def _volume_rows(f: np.ndarray, grid: RadialGrid) -> np.ndarray:

@@ -390,6 +390,29 @@ class TestBootstrapMonitor:
         assert [r["interval_count"] for r in records] == [n for _, _, n in reference]
         assert reference != _scalar_doubling(traj, "theorem1", const.C_tilde)
 
+    def test_flat_stretch_at_the_end_of_a_record_is_its_last_interval(self, grid_small):
+        # at C_tilde = 1 the quantum is 1/32, and the first frame gap carries exactly two quanta, after which the
+        # density is zero over frames 1-3.  At T = 0.25 and 0.375 the cut of [0, T] has no remainder, so
+        # partition_by_eta merges the zero-mass stretch into its last interval, which ends at T and holds frame
+        # 2's bump in H_sc; the run's cut ends that interval at the stretch's first time
+        const = ProofConstants(C_tilde=1.0)
+        ctl = StepController(dt_max=0.01, snapshot_stride=0.05)
+        traj = evolve(RadialField.zero(grid_small), (0.0, 0.6), ctl)
+        s_density, h_sc = np.full(traj.times.size, 0.5), np.ones(traj.times.size)
+        s_density[0], s_density[1:4], h_sc[2] = 1.0, 0.0, 1.5
+        traj = dataclasses.replace(traj, times=np.arange(traj.times.size) / 8.0,
+                                   densities={**traj.densities, "s_density": s_density, "H_sc": h_sc})
+
+        def partition_cuts(m, quantum):
+            d = partition_by_eta(traj.times[: m + 1], s_density[: m + 1], quantum)
+            return [a for a, _ in d.intervals] + [d.intervals[-1][1]]
+
+        records = bootstrap_monitor(traj, "theorem1", T1_PASSING, const)
+        reference = _scalar_doubling(traj, "theorem1", const.C_tilde, partition_cuts)
+        assert [r["max_doubling_ratio"] for r in records] == [doubling for doubling, _, _ in reference]
+        assert [r["interval_count"] for r in records] == [n for _, _, n in reference]
+        assert [r["max_doubling_ratio"] for r in records[1:3]] == [1.278753332987779] * 2
+
     @pytest.mark.parametrize("mode, params, link", [
         ("theorem1", {"log_R0": 50.0, "delta": 1e-3, "E0": 1.0, "m_ceiling": 1e9}, "interpolation ceiling"),
         ("theorem1", {"log_R0": 50.0, "delta": 0.5, "E0": 10.0, "m_ceiling": 300.0}, "partition count"),

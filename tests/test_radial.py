@@ -185,20 +185,20 @@ class TestSplitTransform:
     ])
     def test_lane_pass_is_one_real_transform(self, monkeypatch, n, cpus, lanes):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-        calls, real_dst = [], sfft.dst
+        calls, (scipy_dst, real_dst) = [], radial._sfft()
 
-        def spy(a, **kw):
-            calls.append((a.dtype, a.shape, kw.get("axis"), kw.get("workers")))
-            return real_dst(a, **kw)
+        def spy(a, type, axes, inorm, out, nthreads):
+            calls.append((a.dtype, a.shape, axes, nthreads))
+            return real_dst(a, type, axes, inorm, out, nthreads)
 
-        monkeypatch.setattr(sfft, "dst", spy)
+        monkeypatch.setattr(radial, "_sfft", lambda: (scipy_dst, spy))
         f8 = np.dtype(np.float64)
         radial._dst1(_complex_rows(n))
-        assert calls == ([(f8, (n, 2), -2, None)] if lanes else [(f8, (n,), None, None)] * 2)  # one pass, or two halves
+        assert calls == ([(f8, (n, 2), (0,), 1)] if lanes else [(f8, (n,), (0,), 1)] * 2)  # one pass, or two halves
         calls.clear()
         radial._dst1(_complex_rows((2, n)))
-        workers = 2 if n >= 1023 and len(cpus) >= 2 else None
-        assert calls == [(f8, (2, n, 2), -2, workers)]  # a block is always one two-lane pass
+        workers = 2 if n >= 1023 and len(cpus) >= 2 else 1
+        assert calls == [(f8, (2, n, 2), (1,), workers)]  # a block is always one two-lane pass
 
     def test_split_runs_on_the_helper_thread(self, two_cpus, monkeypatch):
         submitted = []
@@ -244,8 +244,8 @@ class TestBlockThreads:
     """Blocks of rows on two threads: pocketfft's workers for the transform, the helper for the propagator."""
 
     @pytest.mark.parametrize("cpus", [{0, 1}, {0}])
-    @pytest.mark.parametrize("n", [511, 1023, 2048, 4096, 16384])
-    @pytest.mark.parametrize("rows", [2, 5, 16])
+    @pytest.mark.parametrize("n", [256, 511, 512, 1023, 2048, 4096, 16384])
+    @pytest.mark.parametrize("rows", [1, 2, 5, 16])  # a (1, n) block of a power of two from 4096 up splits
     def test_block_equals_scipy_byte_for_byte(self, monkeypatch, rows, n, cpus):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
         x = _complex_rows((rows, n), seed=rows)
